@@ -544,8 +544,10 @@ let ablate () =
   let fa_misses = ref 0 and sa_misses = ref 0 in
   List.iter
     (fun line ->
-      if not (Cachesim.Lru_stack.mem full_assoc line) then incr fa_misses;
-      ignore (Cachesim.Lru_stack.access full_assoc line ());
+      if not (Cachesim.Lru_stack.touch full_assoc line) then begin
+        incr fa_misses;
+        ignore (Cachesim.Lru_stack.add full_assoc line ())
+      end;
       match Cachesim.Set_assoc.access set_assoc line with
       | `Miss _ -> incr sa_misses
       | `Hit -> ())

@@ -25,6 +25,11 @@ type t = {
   l3 : unit Lru_stack.t array;  (* one per socket *)
   dir : dir_entry Int_table.t;
   stats : Stats.t array;
+  (* where the last [access_line] found its data and how it missed;
+     immediate fields, so recording them costs no write barrier *)
+  mutable last_source : source;
+  mutable last_kind : miss_kind;
+  mutable last_missed : bool;
 }
 
 let word_bytes = 4
@@ -48,8 +53,11 @@ let create ?cores (arch : Archspec.Arch.t) =
       Array.init sockets (fun _ ->
           Lru_stack.create
             ~capacity:(Archspec.Cache_geom.lines arch.Archspec.Arch.l3));
-    dir = Int_table.create ~initial:4096 ();
+    dir = Int_table.create ();
     stats = Array.init cores (fun _ -> Stats.create ());
+    last_source = L1;
+    last_kind = Cold;
+    last_missed = false;
   }
 
 let socket_of t core = core / t.arch.Archspec.Arch.cores_per_socket
@@ -61,14 +69,6 @@ let word_mask ~line_bytes ~addr ~size =
   ((1 lsl (last - first + 1)) - 1) lsl first
 
 let entry_of t line = Int_table.find_opt t.dir line
-
-let new_entry t line =
-  let e =
-    { holders = 0; dirty = -1; dirty_words = 0;
-      pending = Array.make t.cores 0 }
-  in
-  Int_table.set t.dir line e;
-  e
 
 let bit core = 1 lsl core
 let others_holding e core = e.holders land lnot (bit core)
@@ -109,40 +109,21 @@ let invalidate_others t core line e mask =
 
 let upgrade_latency t = (t.arch.Archspec.Arch.coherence_latency + 1) / 2
 
-(* one access fully inside one line *)
-let access_line t ~core ~addr ~size ~write =
-  let st = t.stats.(core) in
-  if write then st.Stats.stores <- st.Stats.stores + 1
-  else st.Stats.loads <- st.Stats.loads + 1;
-  let line = addr / t.line_bytes in
-  let mask = word_mask ~line_bytes:t.line_bytes ~addr ~size in
-  let code = Private_cache.access_fast t.priv.(core) line in
-  if code >= 0 then handle_eviction t core code;
-  let finish_write e =
-    if write then begin
-      (* write-invalidate: drop all other copies, become Modified *)
-      if others_holding e core <> 0 then invalidate_others t core line e mask;
-      if e.dirty = core then e.dirty_words <- e.dirty_words lor mask
-      else e.dirty_words <- mask;
-      e.dirty <- core
-    end
-  in
-  if code = Private_cache.hit_l1 || code = Private_cache.hit_l2 then begin
-    let base_latency, source =
-      if code = Private_cache.hit_l1 then begin
-        st.Stats.l1_hits <- st.Stats.l1_hits + 1;
-        (t.arch.Archspec.Arch.l1.Archspec.Cache_geom.hit_latency, L1)
-      end
-      else begin
-        st.Stats.l2_hits <- st.Stats.l2_hits + 1;
-        (t.arch.Archspec.Arch.l2.Archspec.Cache_geom.hit_latency, L2)
-      end
-    in
-    if not write then begin
+(* write-invalidate: drop all other copies, become Modified *)
+let finish_write t core line e mask =
+  if others_holding e core <> 0 then invalidate_others t core line e mask;
+  if e.dirty = core then e.dirty_words <- e.dirty_words lor mask
+  else e.dirty_words <- mask;
+  e.dirty <- core
+
+(* a private hit; only a write consults the directory *)
+let hit t st ~core ~line ~mask ~write ~source ~base_latency =
+  t.last_source <- source;
+  t.last_missed <- false;
+  let latency =
+    if not write then
       (* read hit: no coherence state can change, skip the directory *)
-      st.Stats.stall_cycles <- st.Stats.stall_cycles + base_latency;
-      { latency = base_latency; source; miss = None }
-    end
+      base_latency
     else begin
       let e =
         let s = Int_table.find_slot t.dir line in
@@ -162,105 +143,149 @@ let access_line t ~core ~addr ~size ~write =
         end
         else base_latency
       in
-      finish_write e;
-      st.Stats.stall_cycles <- st.Stats.stall_cycles + latency;
-      { latency; source; miss = None }
+      finish_write t core line e mask;
+      latency
     end
+  in
+  st.Stats.stall_cycles <- st.Stats.stall_cycles + latency;
+  latency
+
+(* a private miss on a line the directory knows: fetch it from a remote
+   dirty copy, the socket L3 or memory, and classify the miss *)
+let refetch t st ~core ~line ~mask e =
+  (* words dirtied by a remote Modified copy, captured before the fetch
+     downgrades it; -1 = no remote dirty owner *)
+  let remote_dirty_words =
+    if e.dirty >= 0 && e.dirty <> core then e.dirty_words else -1
+  in
+  let fetch_latency =
+    if e.dirty >= 0 && e.dirty <> core then begin
+      (* remote dirty copy: cache-to-cache transfer; the owner keeps a
+         Shared copy on a read, loses it on a write (finish_write) *)
+      let o = e.dirty in
+      st.Stats.c2c_transfers <- st.Stats.c2c_transfers + 1;
+      e.dirty <- -1;
+      e.dirty_words <- 0;
+      t.stats.(o).Stats.writebacks <- t.stats.(o).Stats.writebacks + 1;
+      ignore (Lru_stack.access_int t.l3.(socket_of t o) line ());
+      t.last_source <- C2C;
+      t.arch.Archspec.Arch.coherence_latency
+    end
+    else begin
+      let l3 = t.l3.(socket_of t core) in
+      if Lru_stack.touch l3 line then begin
+        st.Stats.l3_hits <- st.Stats.l3_hits + 1;
+        t.last_source <- L3;
+        t.arch.Archspec.Arch.l3.Archspec.Cache_geom.hit_latency
+      end
+      else begin
+        st.Stats.mem_fetches <- st.Stats.mem_fetches + 1;
+        ignore (Lru_stack.add l3 line ());
+        t.last_source <- Memory;
+        t.arch.Archspec.Arch.mem_latency
+      end
+    end
+  in
+  let p = e.pending.(core) in
+  t.last_kind <-
+    (if p <> 0 then
+       if p land mask <> 0 then Coherence_true else Coherence_false
+     else if remote_dirty_words >= 0 then
+       (* stealing a dirty line: sharing miss even on the core's first
+          access *)
+       if remote_dirty_words land mask <> 0 then Coherence_true
+       else Coherence_false
+     else Capacity);
+  fetch_latency
+
+(* a private miss: record the holder, finish a write, charge the fetch *)
+let fill t st ~core ~line ~mask ~write e fetch_latency =
+  t.last_missed <- true;
+  (match t.last_kind with
+  | Cold -> st.Stats.cold_misses <- st.Stats.cold_misses + 1
+  | Capacity -> st.Stats.capacity_misses <- st.Stats.capacity_misses + 1
+  | Coherence_true -> st.Stats.coherence_true <- st.Stats.coherence_true + 1
+  | Coherence_false ->
+      st.Stats.coherence_false <- st.Stats.coherence_false + 1);
+  e.pending.(core) <- 0;
+  e.holders <- e.holders lor bit core;
+  if write then finish_write t core line e mask;
+  st.Stats.stall_cycles <- st.Stats.stall_cycles + fetch_latency;
+  fetch_latency
+
+(* One access fully inside one line: returns its latency and leaves its
+   source and miss kind in [last_*].  The directory is probed at most
+   once, and nothing is allocated except the directory entry of a line
+   no core has touched before. *)
+let access_line t ~core ~addr ~size ~write =
+  let st = t.stats.(core) in
+  if write then st.Stats.stores <- st.Stats.stores + 1
+  else st.Stats.loads <- st.Stats.loads + 1;
+  let line = addr / t.line_bytes in
+  let mask = word_mask ~line_bytes:t.line_bytes ~addr ~size in
+  let code = Private_cache.access_fast t.priv.(core) line in
+  if code >= 0 then handle_eviction t core code;
+  if code = Private_cache.hit_l1 then begin
+    st.Stats.l1_hits <- st.Stats.l1_hits + 1;
+    hit t st ~core ~line ~mask ~write ~source:L1
+      ~base_latency:t.arch.Archspec.Arch.l1.Archspec.Cache_geom.hit_latency
+  end
+  else if code = Private_cache.hit_l2 then begin
+    st.Stats.l2_hits <- st.Stats.l2_hits + 1;
+    hit t st ~core ~line ~mask ~write ~source:L2
+      ~base_latency:t.arch.Archspec.Arch.l2.Archspec.Cache_geom.hit_latency
   end
   else begin
-      let e, kind, fetch_latency, source =
-        let slot = Int_table.find_slot t.dir line in
-        if slot < 0 then begin
-          let e = new_entry t line in
-          st.Stats.mem_fetches <- st.Stats.mem_fetches + 1;
-          ignore (Lru_stack.access_int t.l3.(socket_of t core) line ());
-          (e, Cold, t.arch.Archspec.Arch.mem_latency, Memory)
-        end
-        else begin
-            let e = Int_table.value_at t.dir slot in
-            (* words dirtied by a remote Modified copy, captured before the
-               fetch downgrades it; -1 = no remote dirty owner *)
-            let remote_dirty_words =
-              if e.dirty >= 0 && e.dirty <> core then e.dirty_words else -1
-            in
-            let fetch_latency, source =
-              if e.dirty >= 0 && e.dirty <> core then begin
-                (* remote dirty copy: cache-to-cache transfer; the owner
-                   keeps a Shared copy on a read, loses it on a write
-                   (handled by finish_write) *)
-                let o = e.dirty in
-                st.Stats.c2c_transfers <- st.Stats.c2c_transfers + 1;
-                e.dirty <- -1;
-                e.dirty_words <- 0;
-                t.stats.(o).Stats.writebacks <-
-                  t.stats.(o).Stats.writebacks + 1;
-                ignore (Lru_stack.access_int t.l3.(socket_of t o) line ());
-                (t.arch.Archspec.Arch.coherence_latency, C2C)
-              end
-              else begin
-                let l3 = t.l3.(socket_of t core) in
-                if Lru_stack.touch l3 line then begin
-                  st.Stats.l3_hits <- st.Stats.l3_hits + 1;
-                  (t.arch.Archspec.Arch.l3.Archspec.Cache_geom.hit_latency, L3)
-                end
-                else begin
-                  st.Stats.mem_fetches <- st.Stats.mem_fetches + 1;
-                  ignore (Lru_stack.access_int l3 line ());
-                  (t.arch.Archspec.Arch.mem_latency, Memory)
-                end
-              end
-            in
-            let kind =
-              let p = e.pending.(core) in
-              if p <> 0 then
-                if p land mask <> 0 then Coherence_true else Coherence_false
-              else if remote_dirty_words >= 0 then
-                (* stealing a dirty line: sharing miss even on the core's
-                   first access *)
-                if remote_dirty_words land mask <> 0 then Coherence_true
-                else Coherence_false
-              else Capacity
-            in
-            (e, kind, fetch_latency, source)
-        end
+    let s = Int_table.probe t.dir line in
+    if Int_table.key_at t.dir s = line then begin
+      let e = Int_table.value_at t.dir s in
+      fill t st ~core ~line ~mask ~write e (refetch t st ~core ~line ~mask e)
+    end
+    else begin
+      (* first touch by any core: cold miss from memory (no L3 can hold
+         a line the directory has never seen) *)
+      let e =
+        { holders = 0; dirty = -1; dirty_words = 0;
+          pending = Array.make t.cores 0 }
       in
-      (match kind with
-      | Cold -> st.Stats.cold_misses <- st.Stats.cold_misses + 1
-      | Capacity -> st.Stats.capacity_misses <- st.Stats.capacity_misses + 1
-      | Coherence_true -> st.Stats.coherence_true <- st.Stats.coherence_true + 1
-      | Coherence_false ->
-          st.Stats.coherence_false <- st.Stats.coherence_false + 1);
-      e.pending.(core) <- 0;
-      e.holders <- e.holders lor bit core;
-      finish_write e;
-      st.Stats.stall_cycles <- st.Stats.stall_cycles + fetch_latency;
-      { latency = fetch_latency; source; miss = Some kind }
+      Int_table.add_at t.dir s line e;
+      st.Stats.mem_fetches <- st.Stats.mem_fetches + 1;
+      ignore (Lru_stack.add t.l3.(socket_of t core) line ());
+      t.last_source <- Memory;
+      t.last_kind <- Cold;
+      fill t st ~core ~line ~mask ~write e t.arch.Archspec.Arch.mem_latency
+    end
   end
 
-let access t ~core ~addr ~size ~write =
+(* An access that straddles line boundaries is split and the latencies
+   summed.  The source and miss left in [last_*] are those of the first
+   piece that missed, else of the first piece. *)
+let rec access_pieces t ~core ~addr ~size ~write =
+  let line_end = ((addr / t.line_bytes) + 1) * t.line_bytes in
+  if size <= line_end - addr then access_line t ~core ~addr ~size ~write
+  else begin
+    let here = line_end - addr in
+    let latency = access_line t ~core ~addr ~size:here ~write in
+    let source = t.last_source and kind = t.last_kind
+    and missed = t.last_missed in
+    let rest = access_pieces t ~core ~addr:line_end ~size:(size - here) ~write in
+    if missed || not t.last_missed then begin
+      t.last_source <- source;
+      t.last_kind <- kind;
+      t.last_missed <- missed
+    end;
+    latency + rest
+  end
+
+let access_latency t ~core ~addr ~size ~write =
   if core < 0 || core >= t.cores then invalid_arg "Coherence.access: bad core";
   if size <= 0 then invalid_arg "Coherence.access: size <= 0";
-  if addr / t.line_bytes = (addr + size - 1) / t.line_bytes then
-    (* common case: the access sits inside one line *)
-    access_line t ~core ~addr ~size ~write
-  else
-  (* split accesses that straddle a line boundary *)
-  let rec go addr size acc_latency worst =
-    let line_end = ((addr / t.line_bytes) + 1) * t.line_bytes in
-    let here = min size (line_end - addr) in
-    let r = access_line t ~core ~addr ~size:here ~write in
-    let worst =
-      match (worst, r.miss) with
-      | None, _ -> Some r
-      | Some w, Some _ when w.miss = None -> Some r
-      | Some w, _ -> Some w
-    in
-    if here = size then
-      let w = Option.get worst in
-      { w with latency = acc_latency + r.latency }
-    else go (addr + here) (size - here) (acc_latency + r.latency) worst
-  in
-  go addr size 0 None
+  access_pieces t ~core ~addr ~size ~write
+
+let access t ~core ~addr ~size ~write =
+  let latency = access_latency t ~core ~addr ~size ~write in
+  { latency; source = t.last_source;
+    miss = (if t.last_missed then Some t.last_kind else None) }
 
 let read t ~core ~addr ~size = access t ~core ~addr ~size ~write:false
 let write t ~core ~addr ~size = access t ~core ~addr ~size ~write:true

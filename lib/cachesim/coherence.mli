@@ -29,7 +29,16 @@ val create : ?cores:int -> Archspec.Arch.t -> t
 val access : t -> core:int -> addr:int -> size:int -> write:bool -> result
 (** Perform one memory access.  @raise Invalid_argument for a bad core id
     or non-positive size.  An access spanning a line boundary is split and
-    the latencies summed. *)
+    the latencies summed; its source and miss are those of the first piece
+    that missed, else of the first piece. *)
+
+val access_latency :
+  t -> core:int -> addr:int -> size:int -> write:bool -> int
+(** {!access} returning only the latency: the simulator's per-access
+    path.  It probes the directory at most once per line touched and
+    allocates nothing, except one directory entry for a line no core has
+    touched before.  The counters in {!stats_of_core} are updated exactly
+    as by {!access}. *)
 
 val read : t -> core:int -> addr:int -> size:int -> result
 val write : t -> core:int -> addr:int -> size:int -> result

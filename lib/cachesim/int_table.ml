@@ -2,7 +2,8 @@
    flat (sentinel = absent_key); values live in a parallel array that is
    only materialized on the first insertion, which lets ['a t] be created
    without a witness value.  Deletion backward-shifts the probe chain, so
-   there are no tombstones and probe sequences stay short.
+   there are no tombstones and probe sequences stay short.  Probes are
+   plain loops over the key array: a lookup allocates nothing.
 
    A removed slot keeps its last value in the value array (there is no
    "null" of type 'a); this pins at most [capacity] stale values, which is
@@ -10,7 +11,7 @@
 
 type 'a t = {
   mutable keys : int array;
-  mutable vals : 'a array;  (* [||] until the first set *)
+  mutable vals : 'a array;  (* [||] until the first insertion *)
   mutable mask : int;  (* capacity - 1; capacity is a power of two *)
   mutable shift : int;  (* 63 - log2 capacity: multiplicative hash shift *)
   mutable size : int;
@@ -38,15 +39,20 @@ let create ?(initial = 16) () =
 let length t = t.size
 let home t k = (k * mix) lsr t.shift
 
-let find_slot t k =
+(* the slot where [k] lives, or else the first empty slot on its chain *)
+let probe t k =
   let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let k' = Array.unsafe_get keys i in
-    if k' = k then i
-    else if k' = absent_key then -1
-    else probe ((i + 1) land mask)
-  in
-  probe (home t k)
+  let i = ref (home t k) in
+  let k' = ref (Array.unsafe_get keys !i) in
+  while !k' <> k && !k' <> absent_key do
+    i := (!i + 1) land mask;
+    k' := Array.unsafe_get keys !i
+  done;
+  !i
+
+let find_slot t k =
+  let i = probe t k in
+  if Array.unsafe_get t.keys i = k then i else -1
 
 let key_at t i = t.keys.(i)
 let value_at t i = t.vals.(i)
@@ -61,68 +67,65 @@ let find_opt t k =
   let i = find_slot t k in
   if i < 0 then None else Some t.vals.(i)
 
-(* slot where [k] lives or should be inserted (first absent on its chain) *)
-let insertion_slot t k =
-  let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let k' = Array.unsafe_get keys i in
-    if k' = k || k' = absent_key then i else probe ((i + 1) land mask)
-  in
-  probe (home t k)
-
 let grow t =
   let old_keys = t.keys and old_vals = t.vals in
   let cap = (t.mask + 1) * 2 in
   t.keys <- Array.make cap absent_key;
   t.mask <- cap - 1;
   t.shift <- t.shift - 1;
-  if Array.length old_vals > 0 then
-    t.vals <- Array.make cap old_vals.(0);
+  t.vals <- Array.make cap old_vals.(0);
   Array.iteri
     (fun i k ->
       if k <> absent_key then begin
-        let j = insertion_slot t k in
+        let j = probe t k in
         t.keys.(j) <- k;
         t.vals.(j) <- old_vals.(i)
       end)
     old_keys
 
+let add_at t i k v =
+  if k = absent_key then invalid_arg "Int_table.add_at: reserved key";
+  if t.keys.(i) <> absent_key then invalid_arg "Int_table.add_at: slot in use";
+  if Array.length t.vals = 0 then t.vals <- Array.make (t.mask + 1) v;
+  let i =
+    if (t.size + 1) * 4 > (t.mask + 1) * 3 then begin
+      grow t;
+      probe t k
+    end
+    else i
+  in
+  t.keys.(i) <- k;
+  t.vals.(i) <- v;
+  t.size <- t.size + 1
+
 let set t k v =
   if k = absent_key then invalid_arg "Int_table.set: reserved key";
-  if (t.size + 1) * 4 > (t.mask + 1) * 3 then grow t;
-  if Array.length t.vals = 0 then t.vals <- Array.make (t.mask + 1) v;
-  let i = insertion_slot t k in
-  if t.keys.(i) <> k then begin
-    t.keys.(i) <- k;
-    t.size <- t.size + 1
-  end;
-  t.vals.(i) <- v
+  let i = probe t k in
+  if t.keys.(i) = k then t.vals.(i) <- v else add_at t i k v
+
+(* backward-shift: walk the chain after the hole and pull back every
+   entry whose home position precedes (cyclically covers) the hole *)
+let remove_at t i =
+  let keys = t.keys and vals = t.vals and mask = t.mask in
+  let hole = ref i in
+  let j = ref ((i + 1) land mask) in
+  while keys.(!j) <> absent_key do
+    let k' = keys.(!j) in
+    if (!j - home t k') land mask >= (!j - !hole) land mask then begin
+      keys.(!hole) <- k';
+      vals.(!hole) <- vals.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  keys.(!hole) <- absent_key;
+  t.size <- t.size - 1
 
 let remove t k =
   let i = find_slot t k in
   if i < 0 then false
   else begin
-    let keys = t.keys and vals = t.vals and mask = t.mask in
-    (* backward-shift: walk the chain after the hole and pull back every
-       entry whose home position precedes (cyclically covers) the hole *)
-    let hole = ref i in
-    let j = ref ((i + 1) land mask) in
-    let continue_ = ref true in
-    while !continue_ do
-      let k' = keys.(!j) in
-      if k' = absent_key then continue_ := false
-      else begin
-        let h = home t k' in
-        if (!j - h) land mask >= (!j - !hole) land mask then begin
-          keys.(!hole) <- k';
-          vals.(!hole) <- vals.(!j);
-          hole := !j
-        end;
-        j := (!j + 1) land mask
-      end
-    done;
-    keys.(!hole) <- absent_key;
-    t.size <- t.size - 1;
+    remove_at t i;
     true
   end
 

@@ -7,15 +7,22 @@
     associative LRU cache.  All operations are O(1) except {!distance} and
     {!to_alist}.
 
-    The index is an open-addressing {!Int_table} and a stack at capacity
-    reuses the evicted node for the incoming line, so the {!access_int} /
-    {!get} / {!remove_key} fast paths allocate nothing in steady state. *)
+    Entries live in slot-indexed int arrays (key, previous, next) plus one
+    payload array (absent while every payload is the first one stored),
+    found through an {!Int_table} index; removed slots are reused and a
+    stack at capacity reuses the evicted slot for the incoming key.  The
+    arrays grow with the resident set, never past the capacity.
+    {!promote}, {!add}, {!touch}, {!access_int}, {!get} and {!remove_key}
+    look the key up once and allocate nothing in steady state.
+
+    A slot (as returned by {!promote} or {!lru_slot}) names one entry for
+    as long as that entry is resident. *)
 
 type 'a t
 
 val no_key : int
-(** Sentinel ([min_int]) returned by {!access_int} when nothing was
-    evicted; never a valid key. *)
+(** Sentinel ([min_int]) returned by {!access_int} and {!add} when nothing
+    was evicted; never a valid key. *)
 
 val create : capacity:int -> 'a t
 (** [capacity] is the maximum number of entries; use [max_int] for an
@@ -27,6 +34,27 @@ val mem : 'a t -> int -> bool
 val find : 'a t -> int -> 'a option
 (** [find] does not touch recency. *)
 
+val promote : 'a t -> int -> int
+(** [promote t key] moves [key] to the top and returns its slot, or [-1]
+    when absent. *)
+
+val value_at : 'a t -> int -> 'a
+(** The payload of the entry in a slot. *)
+
+val set_at : 'a t -> int -> 'a -> unit
+(** Replace the payload of the entry in a slot (recency unchanged). *)
+
+val add : 'a t -> int -> 'a -> int
+(** [add t key payload] inserts an absent [key] at the top and returns the
+    key it evicted from the bottom, or {!no_key}.  The index probe that
+    places [key] also checks that it is absent, so [promote] followed by
+    [add] on a miss costs one lookup.
+    @raise Invalid_argument if [key] is present (the stack is unchanged). *)
+
+val lru_slot : 'a t -> int
+(** Slot of the bottom (least-recently-used) entry — the one the next
+    {!add} at capacity evicts — or [-1] when empty. *)
+
 val access : 'a t -> int -> 'a -> (int * 'a) option
 (** [access t key payload] inserts [key] at the top (or moves it to the top,
     replacing its payload).  Returns the evicted bottom entry if the insert
@@ -37,8 +65,7 @@ val access_int : 'a t -> int -> 'a -> int
 
 val touch : 'a t -> int -> bool
 (** [touch t key] moves [key] to the top if present (payload unchanged);
-    [false] when absent.  One table probe, against two for
-    [mem]-then-{!access_int}. *)
+    [false] when absent. *)
 
 val get : 'a t -> int -> default:'a -> 'a
 (** Allocation-free {!find}; does not touch recency. *)

@@ -14,17 +14,19 @@ let hit_l1 = -1
 let hit_l2 = -2
 let miss = -3
 
+(* a failed [touch] already proved the line absent from that level, so
+   the fills go straight to [add] without a second lookup *)
 let access_fast t line =
   if Lru_stack.touch t.l1 line then hit_l1
   else if Lru_stack.touch t.l2 line then begin
-    ignore (Lru_stack.access_int t.l1 line ());
+    ignore (Lru_stack.add t.l1 line ());
     hit_l2
   end
   else begin
     (* fill both levels; an L2 victim is back-invalidated from L1
        (inclusion) and reported *)
-    ignore (Lru_stack.access_int t.l1 line ());
-    let victim = Lru_stack.access_int t.l2 line () in
+    ignore (Lru_stack.add t.l1 line ());
+    let victim = Lru_stack.add t.l2 line () in
     if victim = Lru_stack.no_key then miss
     else begin
       ignore (Lru_stack.remove_key t.l1 victim);

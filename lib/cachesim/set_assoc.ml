@@ -13,14 +13,10 @@ let set_of t line = t.sets.(Archspec.Cache_geom.set_of_line t.geom line)
 
 let access t line =
   let s = set_of t line in
-  if Lru_stack.mem s line then begin
-    ignore (Lru_stack.access s line ());
-    `Hit
-  end
+  if Lru_stack.touch s line then `Hit
   else
-    match Lru_stack.access s line () with
-    | Some (victim, ()) -> `Miss (Some victim)
-    | None -> `Miss None
+    let victim = Lru_stack.add s line () in
+    `Miss (if victim = Lru_stack.no_key then None else Some victim)
 
 let mem t line = Lru_stack.mem (set_of t line) line
 let invalidate t line = Lru_stack.remove (set_of t line) line <> None

@@ -68,10 +68,10 @@ let unpack t key =
   (writer_ref, victim_ref, writer_tid, victim_tid)
 
 let bump tbl key =
-  let s = Cachesim.Int_table.find_slot tbl key in
-  if s >= 0 then
+  let s = Cachesim.Int_table.probe tbl key in
+  if Cachesim.Int_table.key_at tbl s = key then
     Cachesim.Int_table.set_at tbl s (Cachesim.Int_table.value_at tbl s + 1)
-  else Cachesim.Int_table.set tbl key 1
+  else Cachesim.Int_table.add_at tbl s key 1
 
 let grow t =
   let n = Array.length t.e_step in

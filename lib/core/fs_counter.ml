@@ -2,14 +2,19 @@
    threads the per-line mask is a single immediate int (the historical fast
    path); beyond that it is a Cachesim.Bitset.  Either way the 1-to-All
    comparison is a constant-time popcount and the hot path allocates
-   nothing (Small path) or only one bitset per distinct line (Big path). *)
+   nothing (Small path) or only one bitset per distinct line (Big path).
+
+   The masks are the only record of the "W" state: a thread's bit is set
+   exactly while its stack holds the line and it has written the line
+   since inserting it (an eviction or invalidation clears the bit), so the
+   per-thread stacks carry no payload. *)
 
 type masks =
   | Small of int Cachesim.Int_table.t  (* line -> bitmask of writer-holders *)
   | Big of Cachesim.Bitset.t Cachesim.Int_table.t
 
 type t = {
-  states : Thread_cache_state.t array;
+  states : unit Cachesim.Lru_stack.t array;  (* per-thread LRU stacks *)
   masks : masks;
   (* per-thread line -> index of the reference whose write last put the
      line in written state there; only consulted for threads whose mask
@@ -23,11 +28,11 @@ let small_limit = 62
 let create ~threads ~capacity =
   if threads < 1 then invalid_arg "Fs_counter.create: threads < 1";
   {
-    states = Array.init threads (fun _ -> Thread_cache_state.create ~capacity);
+    states =
+      Array.init threads (fun _ -> Cachesim.Lru_stack.create ~capacity);
     masks =
-      (if threads <= small_limit then
-         Small (Cachesim.Int_table.create ~initial:4096 ())
-       else Big (Cachesim.Int_table.create ~initial:4096 ()));
+      (if threads <= small_limit then Small (Cachesim.Int_table.create ())
+       else Big (Cachesim.Int_table.create ()));
     wref = Array.init threads (fun _ -> Cachesim.Int_table.create ~initial:64 ());
   }
 
@@ -37,7 +42,7 @@ let clear_bit t line tid =
       let s = Cachesim.Int_table.find_slot tbl line in
       if s >= 0 then begin
         let m = Cachesim.Int_table.value_at tbl s land lnot (1 lsl tid) in
-        if m = 0 then ignore (Cachesim.Int_table.remove tbl line)
+        if m = 0 then Cachesim.Int_table.remove_at tbl s
         else Cachesim.Int_table.set_at tbl s m
       end
   | Big tbl ->
@@ -45,112 +50,79 @@ let clear_bit t line tid =
       if s >= 0 then Cachesim.Bitset.unset (Cachesim.Int_table.value_at tbl s) tid
 
 let process t ~me ~line ~written =
-  let prior_written = Thread_cache_state.holds_modified t.states.(me) line in
-  let evicted = Thread_cache_state.insert_fast t.states.(me) ~line ~written in
-  (* the evicted line is never [line] itself, so its mask update cannot
-     move [line]'s table entry once we probe below *)
-  if evicted <> Thread_cache_state.no_line then clear_bit t evicted me;
+  (* one probe of [me]'s stack; the line it evicts leaves [me]'s masks
+     before the mask table is probed for [line], as that removal may
+     move table entries *)
+  let evicted = Cachesim.Lru_stack.access_int t.states.(me) line () in
+  if evicted <> Cachesim.Lru_stack.no_key then clear_bit t evicted me;
   match t.masks with
   | Small tbl ->
-      let s = Cachesim.Int_table.find_slot tbl line in
-      let mask = if s >= 0 then Cachesim.Int_table.value_at tbl s else 0 in
-      let fs = Cachesim.Bitset.popcount (mask land lnot (1 lsl me)) in
-      if written || prior_written then
-        if s >= 0 then Cachesim.Int_table.set_at tbl s (mask lor (1 lsl me))
-        else Cachesim.Int_table.set tbl line (mask lor (1 lsl me));
-      fs
+      let s = Cachesim.Int_table.probe tbl line in
+      let held = Cachesim.Int_table.key_at tbl s = line in
+      let mask = if held then Cachesim.Int_table.value_at tbl s else 0 in
+      let me_bit = 1 lsl me in
+      if written && mask land me_bit = 0 then
+        if held then Cachesim.Int_table.set_at tbl s (mask lor me_bit)
+        else Cachesim.Int_table.add_at tbl s line me_bit;
+      Cachesim.Bitset.popcount (mask land lnot me_bit)
   | Big tbl ->
-      let s = Cachesim.Int_table.find_slot tbl line in
+      let s = Cachesim.Int_table.probe tbl line in
+      let held = Cachesim.Int_table.key_at tbl s = line in
       let fs =
-        if s >= 0 then
-          Cachesim.Bitset.count_excluding (Cachesim.Int_table.value_at tbl s) me
+        if held then
+          Cachesim.Bitset.count_excluding (Cachesim.Int_table.value_at tbl s)
+            me
         else 0
       in
-      if written || prior_written then begin
-        let bs =
-          if s >= 0 then Cachesim.Int_table.value_at tbl s
-          else begin
-            let bs = Cachesim.Bitset.create ~bits:(Array.length t.states) in
-            Cachesim.Int_table.set tbl line bs;
-            bs
-          end
-        in
-        Cachesim.Bitset.set bs me
-      end;
+      if written then
+        if held then Cachesim.Bitset.set (Cachesim.Int_table.value_at tbl s) me
+        else begin
+          let bs = Cachesim.Bitset.create ~bits:(Array.length t.states) in
+          Cachesim.Bitset.set bs me;
+          Cachesim.Int_table.add_at tbl s line bs
+        end;
       fs
 
-(* [process] plus provenance: before inserting, each other thread
-   holding [line] in written state yields one FS case recorded into
-   [sink] as (that thread, its last writing reference) -> (me, ref_id).
-   Counting is bit-identical to [process]; the extra work is O(threads)
-   only on accesses that actually trigger FS cases. *)
+let record_case t sink ~step ~line ~me ~ref_id j =
+  Attrib.record sink ~step ~line ~writer_tid:j
+    ~writer_ref:(Cachesim.Int_table.get t.wref.(j) line ~default:(-1))
+    ~victim_tid:me ~victim_ref:ref_id
+
+(* [process] plus provenance: each other thread holding [line] in
+   written state yields one FS case recorded into [sink] as (that
+   thread, its last writing reference) -> (me, ref_id), in thread order.
+   [process] only adds [me] to the writers, so they can be read back
+   after it; the extra work is paid only on accesses with FS cases. *)
 let process_attr t ~me ~line ~written ~ref_id ~step sink =
-  let prior_written = Thread_cache_state.holds_modified t.states.(me) line in
-  let evicted = Thread_cache_state.insert_fast t.states.(me) ~line ~written in
-  if evicted <> Thread_cache_state.no_line then clear_bit t evicted me;
-  let fs =
+  let fs = process t ~me ~line ~written in
+  if fs > 0 then begin
     match t.masks with
     | Small tbl ->
-        let s = Cachesim.Int_table.find_slot tbl line in
-        let mask = if s >= 0 then Cachesim.Int_table.value_at tbl s else 0 in
-        let others = mask land lnot (1 lsl me) in
-        let fs = Cachesim.Bitset.popcount others in
-        if fs > 0 then
-          for j = 0 to Array.length t.states - 1 do
-            if others land (1 lsl j) <> 0 then
-              Attrib.record sink ~step ~line ~writer_tid:j
-                ~writer_ref:(Cachesim.Int_table.get t.wref.(j) line ~default:(-1))
-                ~victim_tid:me ~victim_ref:ref_id
-          done;
-        if written || prior_written then
-          if s >= 0 then Cachesim.Int_table.set_at tbl s (mask lor (1 lsl me))
-          else Cachesim.Int_table.set tbl line (mask lor (1 lsl me));
-        fs
-    | Big tbl ->
-        let s = Cachesim.Int_table.find_slot tbl line in
-        let fs =
-          if s >= 0 then
-            Cachesim.Bitset.count_excluding (Cachesim.Int_table.value_at tbl s)
-              me
-          else 0
+        let others =
+          Cachesim.Int_table.get tbl line ~default:0 land lnot (1 lsl me)
         in
-        if fs > 0 then begin
-          let bs = Cachesim.Int_table.value_at tbl s in
-          for j = 0 to Array.length t.states - 1 do
-            if j <> me && Cachesim.Bitset.mem bs j then
-              Attrib.record sink ~step ~line ~writer_tid:j
-                ~writer_ref:(Cachesim.Int_table.get t.wref.(j) line ~default:(-1))
-                ~victim_tid:me ~victim_ref:ref_id
-          done
-        end;
-        if written || prior_written then begin
-          let bs =
-            if s >= 0 then Cachesim.Int_table.value_at tbl s
-            else begin
-              let bs = Cachesim.Bitset.create ~bits:(Array.length t.states) in
-              Cachesim.Int_table.set tbl line bs;
-              bs
-            end
-          in
-          Cachesim.Bitset.set bs me
-        end;
-        fs
-  in
+        for j = 0 to Array.length t.states - 1 do
+          if others land (1 lsl j) <> 0 then
+            record_case t sink ~step ~line ~me ~ref_id j
+        done
+    | Big tbl ->
+        let bs =
+          Cachesim.Int_table.value_at tbl (Cachesim.Int_table.find_slot tbl line)
+        in
+        for j = 0 to Array.length t.states - 1 do
+          if j <> me && Cachesim.Bitset.mem bs j then
+            record_case t sink ~step ~line ~me ~ref_id j
+        done
+  end;
   if written then Cachesim.Int_table.set t.wref.(me) line ref_id;
   fs
-
-let process_entries t ~me entries =
-  List.fold_left
-    (fun acc { Ownership.line; written } ->
-      acc + process t ~me ~line ~written)
-    0 entries
 
 let invalidate_others t ~me ~line =
   Array.iteri
     (fun j s ->
       if j <> me then
-        if Thread_cache_state.invalidate s line then clear_bit t line j)
+        if Cachesim.Lru_stack.remove_key s line then clear_bit t line j)
     t.states
 
-let state t i = t.states.(i)
+let holds t ~tid line = Cachesim.Lru_stack.mem t.states.(tid) line
 let threads t = Array.length t.states

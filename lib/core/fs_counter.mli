@@ -14,7 +14,11 @@ val create : threads:int -> capacity:int -> t
 
 val process : t -> me:int -> line:int -> written:bool -> int
 (** Count the FS cases triggered by thread [me] inserting [line] (the φ
-    comparison against all other states), then insert it. *)
+    comparison against all other states), then insert it.  One probe of
+    [me]'s stack yields the evicted line, and one probe of the mask table
+    reads the writers (with [me]'s prior written state) and marks [me].
+    Allocation-free once the tables have grown to the working set (up to
+    62 threads; wider counts allocate one bitset per distinct line). *)
 
 val process_attr :
   t ->
@@ -34,14 +38,11 @@ val process_attr :
     consistently (both maintain the same counting state, but only this
     one maintains writer provenance). *)
 
-val process_entries : t -> me:int -> Ownership.entry list -> int
-(** Fold {!process} over an ownership list. *)
-
 val invalidate_others : t -> me:int -> line:int -> unit
 (** Drop [line] from every other thread's state (write-invalidate
     ablation). *)
 
-val state : t -> int -> Thread_cache_state.t
-(** Direct access to one thread's stack (for tests). *)
+val holds : t -> tid:int -> int -> bool
+(** Does thread [tid]'s stack hold the line (for tests)? *)
 
 val threads : t -> int

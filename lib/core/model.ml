@@ -67,13 +67,14 @@ type region = {
   sched : Ompsched.Schedule.t;
 }
 
-let runs = ref 0
-let run_count () = !runs
+(* bumped from every domain of a Par_sweep *)
+let runs = Atomic.make 0
+let run_count () = Atomic.get runs
 
 let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
     ?attrib cfg ~(nest : Loopir.Loop_nest.t) ~checked =
   if cfg.threads < 1 then invalid_arg "Model.run: threads < 1";
-  incr runs;
+  Atomic.incr runs;
   let arch = cfg.arch in
   let line_bytes = Archspec.Arch.line_bytes arch in
   let layout = Loopir.Layout.make ~line_bytes checked in

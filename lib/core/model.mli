@@ -68,9 +68,11 @@ type result = {
 }
 
 val run_count : unit -> int
-(** Number of {!run} invocations so far in this process.  The analytic
-    cost path ([--cost-model analytic]) promises zero engine evaluations;
-    tests snapshot this counter around it to enforce the promise. *)
+(** Number of {!run} invocations so far in this process, from every
+    domain (the counter is atomic, so concurrent {!Par_sweep} workers
+    lose no increments).  The analytic cost path
+    ([--cost-model analytic]) promises zero engine evaluations; tests
+    snapshot this counter around it to enforce the promise. *)
 
 val run :
   ?max_chunk_runs:int ->

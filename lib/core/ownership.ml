@@ -192,33 +192,33 @@ let push b line written r =
      attributed to the first write touching the line (else the first
      touch), mirroring [lines_with_refs]. *)
   let n = b.len in
-  let rec seek i =
-    if i >= n then begin
-      if n = Array.length b.lin then begin
-        let lin = Array.make (2 * n) 0
-        and wr = Array.make (2 * n) false
-        and rid = Array.make (2 * n) 0 in
-        Array.blit b.lin 0 lin 0 n;
-        Array.blit b.wr 0 wr 0 n;
-        Array.blit b.rid 0 rid 0 n;
-        b.lin <- lin;
-        b.wr <- wr;
-        b.rid <- rid
-      end;
-      b.lin.(n) <- line;
-      b.wr.(n) <- written;
-      b.rid.(n) <- r;
-      b.len <- n + 1
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get b.lin !i <> line do
+    incr i
+  done;
+  if !i < n then begin
+    if written && not (Array.unsafe_get b.wr !i) then begin
+      Array.unsafe_set b.wr !i true;
+      Array.unsafe_set b.rid !i r
     end
-    else if Array.unsafe_get b.lin i = line then begin
-      if written && not (Array.unsafe_get b.wr i) then begin
-        Array.unsafe_set b.wr i true;
-        Array.unsafe_set b.rid i r
-      end
-    end
-    else seek (i + 1)
-  in
-  seek 0
+  end
+  else begin
+    if n = Array.length b.lin then begin
+      let lin = Array.make (2 * n) 0
+      and wr = Array.make (2 * n) false
+      and rid = Array.make (2 * n) 0 in
+      Array.blit b.lin 0 lin 0 n;
+      Array.blit b.wr 0 wr 0 n;
+      Array.blit b.rid 0 rid 0 n;
+      b.lin <- lin;
+      b.wr <- wr;
+      b.rid <- rid
+    end;
+    b.lin.(n) <- line;
+    b.wr.(n) <- written;
+    b.rid.(n) <- r;
+    b.len <- n + 1
+  end
 
 let fill c b =
   b.len <- 0;

@@ -8,9 +8,6 @@
 
 type t
 
-val no_line : int
-(** Sentinel returned by {!insert_fast} when nothing was evicted. *)
-
 val create : capacity:int -> t
 (** [capacity] in lines ({!of_cache} derives it from a geometry); use
     [max_int] for the unbounded-stack ablation. *)
@@ -19,12 +16,9 @@ val of_cache : Archspec.Cache_geom.t -> t
 (** {!create} with the geometry's line capacity (size / line bytes). *)
 
 val insert : t -> line:int -> written:bool -> (int * bool) option
-(** Insert or refresh a line; a line once written stays in written state
-    (it is dirty until evicted).  Returns the LRU entry (line, written)
-    evicted by the insertion, if any. *)
-
-val insert_fast : t -> line:int -> written:bool -> int
-(** Allocation-free {!insert}: returns the evicted line, or {!no_line}. *)
+(** Insert or refresh a line with one probe of the stack; a line once
+    written stays in written state (it is dirty until evicted).  Returns
+    the LRU entry (line, written) evicted by the insertion, if any. *)
 
 val holds : t -> int -> bool
 (** Does this state contain the line (in any state)? *)

@@ -21,9 +21,12 @@ let measure ?(arch = Archspec.Arch.paper_machine) ?(interleave_window = 4)
     {
       Interp.mem_access =
         (fun ~tid ~addr ~size ~write ->
-          let r = Cachesim.Coherence.access coherence ~core:tid ~addr ~size ~write in
+          let latency =
+            Cachesim.Coherence.access_latency coherence ~core:tid ~addr ~size
+              ~write
+          in
           if !timing then
-            cycles.(tid) <- cycles.(tid) +. float_of_int r.Cachesim.Coherence.latency);
+            cycles.(tid) <- cycles.(tid) +. float_of_int latency);
       cpu =
         (fun ~tid c -> if !timing then cycles.(tid) <- cycles.(tid) +. c);
       region_begin =

@@ -902,8 +902,8 @@ let check_spec ?mutate ?(brute_budget = 300_000) (spec : Spec.t) =
                     Execsim.Interp.mem_access =
                       (fun ~tid ~addr ~size ~write ->
                         ignore
-                          (Cachesim.Coherence.access coherence ~core:tid
-                             ~addr ~size ~write));
+                          (Cachesim.Coherence.access_latency coherence
+                             ~core:tid ~addr ~size ~write));
                     cpu = (fun ~tid:_ _ -> ());
                     region_begin = (fun ~threads:_ -> ());
                     region_end = (fun ~chunks_per_thread:_ -> ());

@@ -36,6 +36,16 @@ module Ref_lru = struct
     t.entries <- List.remove_assoc k t.entries;
     r
 
+  let touch t k =
+    match List.assoc_opt k t.entries with
+    | None -> false
+    | Some v ->
+        t.entries <- (k, v) :: List.remove_assoc k t.entries;
+        true
+
+  let find t k = List.assoc_opt k t.entries
+  let clear t = t.entries <- []
+
   let distance t k =
     let rec go i = function
       | [] -> None
@@ -112,33 +122,74 @@ let test_lru_update_remove () =
   Lru_stack.clear s;
   check Alcotest.int "cleared" 0 (Lru_stack.size s)
 
-type op = Access of int | Remove of int
+type op =
+  | Access of int * int  (* key, payload *)
+  | Access_int of int * int
+  | Touch of int
+  | Get of int
+  | Remove of int
+  | Remove_key of int
+  | Clear
 
 let op_gen =
   QCheck2.Gen.(
-    map2
-      (fun b k -> if b then Access (abs k mod 12) else Remove (abs k mod 12))
-      bool small_int)
+    let key = int_range 0 11 and payload = int_range 0 3 in
+    frequency
+      [
+        (4, map2 (fun k v -> Access (k, v)) key payload);
+        (4, map2 (fun k v -> Access_int (k, v)) key payload);
+        (2, map (fun k -> Touch k) key);
+        (2, map (fun k -> Get k) key);
+        (1, map (fun k -> Remove k) key);
+        (1, map (fun k -> Remove_key k) key);
+        (1, return Clear);
+      ])
+
+(* capacity-1 and unbounded stacks take the corner paths of the slot
+   arrays: every insert evicts, or none does and the arrays keep growing *)
+let capacity_gen =
+  QCheck2.Gen.(
+    frequency [ (4, int_range 1 6); (1, return 1); (1, return max_int) ])
 
 let prop_lru_matches_reference =
   QCheck2.Test.make ~name:"Lru_stack matches reference model" ~count:300
-    QCheck2.Gen.(pair (int_range 1 6) (list_size (int_range 0 60) op_gen))
+    QCheck2.Gen.(pair capacity_gen (list_size (int_range 0 120) op_gen))
     (fun (cap, ops) ->
       let s = Lru_stack.create ~capacity:cap in
       let r = Ref_lru.create cap in
+      let no_key = Lru_stack.no_key in
       List.for_all
         (fun op ->
-          match op with
-          | Access k ->
-              let e1 = Lru_stack.access s k k in
-              let e2 = Ref_lru.access r k k in
-              e1 = e2
-              && Lru_stack.to_alist s = Ref_lru.to_alist r
-              && Lru_stack.distance s k = Ref_lru.distance r k
-          | Remove k ->
-              let r1 = Lru_stack.remove s k in
-              let r2 = Ref_lru.remove r k in
-              r1 = r2 && Lru_stack.to_alist s = Ref_lru.to_alist r)
+          let same_result, key =
+            match op with
+            | Access (k, v) -> (Lru_stack.access s k v = Ref_lru.access r k v, k)
+            | Access_int (k, v) ->
+                let e = Lru_stack.access_int s k v in
+                let e' =
+                  match Ref_lru.access r k v with
+                  | Some (k', _) -> k'
+                  | None -> no_key
+                in
+                (e = e', k)
+            | Touch k -> (Lru_stack.touch s k = Ref_lru.touch r k, k)
+            | Get k ->
+                let expect = Ref_lru.find r k in
+                ( Lru_stack.find s k = expect
+                  && Lru_stack.get s k ~default:(-1)
+                     = Option.value expect ~default:(-1),
+                  k )
+            | Remove k -> (Lru_stack.remove s k = Ref_lru.remove r k, k)
+            | Remove_key k ->
+                (Lru_stack.remove_key s k = (Ref_lru.remove r k <> None), k)
+            | Clear ->
+                Lru_stack.clear s;
+                Ref_lru.clear r;
+                (true, 0)
+          in
+          same_result
+          && Lru_stack.to_alist s = Ref_lru.to_alist r
+          && Lru_stack.size s = List.length (Ref_lru.to_alist r)
+          && Lru_stack.distance s key = Ref_lru.distance r key)
         ops)
 
 (* Targeted properties against the naive oracle: capacity eviction,
@@ -511,6 +562,71 @@ let test_int_table_slots () =
   check Alcotest.int "clear empties" 0 (Int_table.length t)
 
 (* ------------------------------------------------------------------ *)
+(* Steady-state allocation                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The hot paths promise to allocate nothing once their tables have grown
+   to the working set: run each loop once to warm it, then again with
+   Gc.minor_words watching. *)
+let minor_words_of f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_no_alloc name f =
+  check (Alcotest.float 0.) (name ^ " allocates nothing") 0. (minor_words_of f)
+
+let test_steady_state_no_alloc () =
+  let n = 1000 and rounds = 200 in
+  let keys = Array.init n (fun i -> i * 7919) in
+  let sink = ref 0 in
+  let t = Int_table.create () in
+  Array.iter (fun k -> Int_table.set t k k) keys;
+  check_no_alloc "Int_table.find_slot/get/set_at" (fun () ->
+      for _ = 1 to rounds do
+        for i = 0 to n - 1 do
+          let k = Array.unsafe_get keys i in
+          let s = Int_table.find_slot t k in
+          Int_table.set_at t s (Int_table.value_at t s + 1);
+          sink := !sink + Int_table.get t (k + 1) ~default:0
+        done
+      done);
+  (* a stack at capacity: every miss evicts, [remove_key] frees a slot
+     that the next insertion reuses *)
+  let cap = 64 in
+  let s = Lru_stack.create ~capacity:cap in
+  check_no_alloc "Lru_stack.touch/get/access_int/remove_key" (fun () ->
+      for r = 1 to rounds do
+        for i = 0 to (2 * cap) - 1 do
+          let k = Array.unsafe_get keys i in
+          if not (Lru_stack.touch s k) then
+            ignore (Lru_stack.access_int s k (r land 3));
+          sink := !sink + Lru_stack.get s k ~default:0;
+          if i land 7 = 0 then ignore (Lru_stack.remove_key s k)
+        done
+      done);
+  (* two cores sharing and evicting lines through the tiny hierarchy:
+     hits, upgrades, invalidations, write-backs and refetches *)
+  let m = Coherence.create ~cores:2 Archspec.Arch.small_test_machine in
+  check_no_alloc "Coherence.access_latency" (fun () ->
+      for i = 0 to (rounds * 50) - 1 do
+        sink :=
+          !sink
+          + Coherence.access_latency m ~core:(i land 1)
+              ~addr:(i * 52 mod 4096) ~size:8 ~write:(i mod 3 = 0)
+      done);
+  let c = Fsmodel.Fs_counter.create ~threads:4 ~capacity:32 in
+  check_no_alloc "Fs_counter.process" (fun () ->
+      for i = 0 to (rounds * 50) - 1 do
+        sink :=
+          !sink
+          + Fsmodel.Fs_counter.process c ~me:(i land 3) ~line:(i * 37 mod 100)
+              ~written:(i mod 3 = 0)
+      done);
+  ignore (Sys.opaque_identity !sink)
+
+(* ------------------------------------------------------------------ *)
 (* Bitset / popcount                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -636,6 +752,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_int_table_matches_hashtbl;
           Alcotest.test_case "slot API" `Quick test_int_table_slots;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "steady-state hot paths" `Quick
+            test_steady_state_no_alloc;
         ] );
       ( "bitset",
         [

@@ -189,6 +189,24 @@ let test_par_sweep_order_and_mapi () =
     (List.mapi (fun i x -> (10 * i) + x) xs)
     (Par_sweep.mapi ~domains:3 (fun i x -> (10 * i) + x) xs)
 
+(* Both domains of a sweep bump Model.run_count; a plain counter could
+   lose increments to the race, the atomic one must not. *)
+let test_run_count_across_domains () =
+  let kernel = Kernels.Saxpy.kernel ~n:2 () in
+  let checked = Kernels.Kernel.parse kernel in
+  let nest =
+    Loopir.Lower.lower checked ~func:kernel.Kernels.Kernel.func
+      ~params:[ ("num_threads", 2) ]
+  in
+  let cfg = Model.default_config ~threads:2 () in
+  let n = 20_000 in
+  let before = Model.run_count () in
+  ignore
+    (Par_sweep.map ~domains:2
+       (fun _ -> (Model.run cfg ~nest ~checked).Model.fs_cases)
+       (List.init n Fun.id));
+  check Alcotest.int "one increment per run" n (Model.run_count () - before)
+
 exception Boom of int
 
 let test_par_sweep_exceptions () =
@@ -220,5 +238,7 @@ let () =
             test_par_sweep_order_and_mapi;
           Alcotest.test_case "exception propagation" `Quick
             test_par_sweep_exceptions;
+          Alcotest.test_case "run count across domains" `Quick
+            test_run_count_across_domains;
         ] );
     ]

@@ -530,7 +530,7 @@ let test_fs_counter_invalidate_others () =
   check Alcotest.int "two holders" 2 (Fs_counter.process c ~me:0 ~line:5 ~written:true);
   Fs_counter.invalidate_others c ~me:0 ~line:5;
   check Alcotest.bool "others dropped" false
-    (Thread_cache_state.holds (Fs_counter.state c 1) 5);
+    (Fs_counter.holds c ~tid:1 5);
   (* re-insert by thread 0 sees nobody *)
   check Alcotest.int "clean after invalidation" 0
     (Fs_counter.process c ~me:0 ~line:5 ~written:false);
