@@ -1,4 +1,4 @@
-.PHONY: all build verify bench bench-smoke serve-smoke fuzz-smoke fix-verify sched-smoke doc clean
+.PHONY: all build verify lint-check bench bench-smoke serve-smoke fuzz-smoke fix-verify sched-smoke doc clean
 
 all: build
 
@@ -6,14 +6,23 @@ build:
 	dune build
 
 # Tier-1 gate: full build + the whole alcotest/qcheck suite, then the
-# lint self-check: clean kernels must pass, the racy fixture must fail,
-# the parametric fixture must lint without -p and trip the FS gate.
-# The adversarial exact-tier fixtures must get definite verdicts: their
-# certified races gate the exit code, and even under --exact on no
-# analysis/unknown or analysis/exact-budget finding may remain.
+# lint self-check and the four smoke gates, each run once.
 verify:
 	dune build
 	dune runtest
+	$(MAKE) lint-check
+	$(MAKE) serve-smoke
+	$(MAKE) fuzz-smoke
+	$(MAKE) fix-verify
+	$(MAKE) sched-smoke
+
+# Lint self-check: clean kernels must pass, the racy fixture must fail,
+# the parametric fixture must lint without -p and trip the FS gate.
+# The adversarial exact-tier fixtures must get definite verdicts: their
+# certified races gate the exit code, and even under --exact on no
+# analysis/unknown or analysis/exact-budget finding may remain.  Then
+# the version stamp and the analytic cost model's lint and JSON output.
+lint-check: build
 	./_build/default/bin/fsdetect.exe lint --no-fixits -k saxpy > /dev/null
 	./_build/default/bin/fsdetect.exe lint --no-fixits -k linear_regression > /dev/null
 	! ./_build/default/bin/fsdetect.exe lint --no-fixits test/fixtures/racy_stencil.c > /dev/null
@@ -27,10 +36,6 @@ verify:
 	./_build/default/bin/fsdetect.exe --version | grep -q '+arch\.'
 	./_build/default/bin/fsdetect.exe lint --fail-on never --cost-model analytic -k heat | grep -q 'cost: Total_c'
 	./_build/default/bin/fsdetect.exe analyze --cost-model analytic --format json -k heat | grep -q '"costModel": "analytic"'
-	$(MAKE) serve-smoke
-	$(MAKE) fuzz-smoke
-	$(MAKE) fix-verify
-	$(MAKE) sched-smoke
 
 # Analytic-vs-simulator accuracy gate: every registry kernel's reuse
 # prediction must land inside the per-kernel tolerances pinned in

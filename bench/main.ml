@@ -685,10 +685,11 @@ let lines_section () =
 (* ------------------------------------------------------------------ *)
 
 (* A/B guard for the attribution layer: the fast engine with no recorder
-   attached must stay at its zero-allocation baseline (attribution rides
-   a separate duplicated loop, so the plain path gains no branch), and
-   the recorder's aggregate-only overhead is reported for reference.
-   Timings land in BENCH.json so a perf regression is visible in CI. *)
+   attached must stay at its zero-allocation baseline (its one traversal
+   tests the immutable [attrib] option once per ownership-list entry and
+   then makes no recorder call), and the recorder's aggregate-only
+   overhead is reported for reference.  Timings land in BENCH.json so a
+   perf regression is visible in CI. *)
 let attrib_times : (string * int * float * float) list ref = ref []
 
 let attrib_section () =

@@ -6,11 +6,3 @@ let fs_cases_for_insert ~states ~me ~line =
       incr count
   done;
   !count
-
-let fs_cases_for_iteration ~states ~me entries =
-  List.fold_left
-    (fun acc { Ownership.line; written } ->
-      let fs = fs_cases_for_insert ~states ~me ~line in
-      ignore (Thread_cache_state.insert states.(me) ~line ~written);
-      acc + fs)
-    0 entries

@@ -8,12 +8,3 @@
 val fs_cases_for_insert :
   states:Thread_cache_state.t array -> me:int -> line:int -> int
 (** Count of other threads holding [line] modified. *)
-
-val fs_cases_for_iteration :
-  states:Thread_cache_state.t array ->
-  me:int ->
-  Ownership.entry list ->
-  int
-(** Apply the 1-to-All comparison for every line of an ownership list and
-    insert each line into thread [me]'s state (in list order).  Returns the
-    FS cases contributed by this iteration of this thread. *)

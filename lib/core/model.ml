@@ -54,6 +54,16 @@ let capacity_of cfg =
   | Lines n -> n
   | Unbounded -> max_int
 
+(* The parallel loop's deal for one region: the static round-robin
+   schedule (the paper's §III path) or a seed-replayed dispatch plan. *)
+type deal = Static of Ompsched.Schedule.t | Plan of Ompsched.Dispatch.plan
+
+(* the iteration a thread executes at its own position [k], or -1 *)
+let next_iter deal ~tid k =
+  match deal with
+  | Static s -> Ompsched.Schedule.nth_iter_int s ~tid k
+  | Plan p -> Ompsched.Dispatch.nth_iter_int p ~tid k
+
 (* Geometry of one parallel region, evaluated with the current outer-index
    values (and the parallel variable pinned at its lower bound). *)
 type region = {
@@ -63,8 +73,9 @@ type region = {
   inner_lowers : int array;
   inner_trips : int array;
   inner_per_par : int;
-  chunk : int;
-  sched : Ompsched.Schedule.t;
+  deal : deal;
+  max_steps : int;  (* lockstep steps: the deal's depth x inner iterations *)
+  run_span : int;  (* lockstep steps per chunk run *)
 }
 
 (* bumped from every domain of a Par_sweep *)
@@ -95,8 +106,7 @@ let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
   in
   (* Which dispatcher drives the region: an explicit config override wins;
      otherwise a dynamic/guided pragma is replayed at seed 0, and static
-     keeps the closed-form round-robin deal (the paper's §III path,
-     untouched). *)
+     keeps the closed-form round-robin deal (the paper's §III path). *)
   let dispatch =
     match cfg.sched with
     | Some _ as s -> s
@@ -156,7 +166,9 @@ let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
     end
   in
   (* Region geometry for the outer-variable values currently in [idx];
-     [None] when the region executes no iterations. *)
+     [None] when the region executes no iterations.  The parallel loop's
+     deal is picked here, once per region, and a replayed plan's steals
+     are counted as it is drawn. *)
   let region_geometry () =
     let ploop = loops.(d) in
     let par_lower = Loopir.Expr_eval.eval lookup ploop.Loopir.Loop_nest.lower in
@@ -181,13 +193,31 @@ let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
       let inner_per_par = Array.fold_left ( * ) 1 inner_trips in
       if inner_per_par <= 0 then None
       else begin
-        let chunk =
-          match chunk_spec with
-          | Some c -> c
+        let deal, depth, window =
+          match dispatch with
           | None ->
-              (* schedule(static) without a chunk: contiguous blocks *)
-              Ompsched.Schedule.block_chunk ~threads:cfg.threads
-                ~total:par_trip
+              let chunk =
+                match chunk_spec with
+                | Some c -> c
+                | None ->
+                    (* schedule(static) without a chunk: contiguous blocks *)
+                    Ompsched.Schedule.block_chunk ~threads:cfg.threads
+                      ~total:par_trip
+              in
+              let s =
+                Ompsched.Schedule.make ~threads:cfg.threads ~chunk
+                  ~total:par_trip
+              in
+              (Static s, Ompsched.Schedule.max_steps_per_thread s, chunk)
+          | Some (kind, seed) ->
+              let p =
+                Ompsched.Dispatch.plan ~threads:cfg.threads ~total:par_trip
+                  ~seed kind
+              in
+              st.plan_steals <- st.plan_steals + Ompsched.Dispatch.steals p;
+              ( Plan p,
+                Ompsched.Dispatch.max_steps_per_thread p,
+                Ompsched.Dispatch.window p )
         in
         Some
           {
@@ -197,25 +227,24 @@ let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
             inner_lowers;
             inner_trips;
             inner_per_par;
-            chunk;
-            sched =
-              Ompsched.Schedule.make ~threads:cfg.threads ~chunk
-                ~total:par_trip;
+            deal;
+            max_steps = depth * inner_per_par;
+            run_span = window * inner_per_par;
           }
       end
     end
   in
   (* Fast engine: incremental odometer over the inner loops (no div/mod on
      the step counter), ownership lists strength-reduced through a cursor
-     into a reused buffer, FS counting through the bitmask counter. *)
+     into a reused buffer, FS counting through the bitmask counter.  With
+     an attribution sink, each entry goes through
+     [Fs_counter.process_attr] instead, so every case lands in the
+     recorder. *)
   let eval_region_fast counter cur buf =
     match region_geometry () with
     | None -> ()
     | Some r ->
         let n_inner = Array.length r.inner in
-        let max_par_steps = Ompsched.Schedule.max_steps_per_thread r.sched in
-        let max_steps = max_par_steps * r.inner_per_par in
-        let run_span = r.chunk * r.inner_per_par in
         for l = 0 to d - 1 do
           Ownership.cursor_set cur l idx.(l)
         done;
@@ -224,254 +253,27 @@ let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
           Ownership.cursor_set cur (d + 1 + j) r.inner_lowers.(j)
         done;
         let k_par = ref 0 in
-        for s = 0 to max_steps - 1 do
-          for t = 0 to cfg.threads - 1 do
-            let q = Ompsched.Schedule.nth_iter_int r.sched ~tid:t !k_par in
-            if q >= 0 then begin
-              Ownership.cursor_set cur d (r.par_lower + (q * r.par_step));
-              Ownership.fill cur buf;
-              for i = 0 to Ownership.buf_len buf - 1 do
-                let line = Ownership.buf_line buf i in
-                let written = Ownership.buf_written buf i in
-                let fs = Fs_counter.process counter ~me:t ~line ~written in
-                if cfg.invalidate_on_write && written then
-                  Fs_counter.invalidate_others counter ~me:t ~line;
-                st.fs <- st.fs + fs
-              done;
-              st.iters <- st.iters + 1
+        (* advance the inner odometer (innermost varies fastest); a full
+           wrap moves every thread to its next parallel iteration *)
+        let rec bump j =
+          if j < 0 then incr k_par
+          else begin
+            let p = pos.(j) + 1 in
+            if p = r.inner_trips.(j) then begin
+              pos.(j) <- 0;
+              Ownership.cursor_set cur (d + 1 + j) r.inner_lowers.(j);
+              bump (j - 1)
             end
-          done;
-          st.steps <- st.steps + 1;
-          if (s + 1) mod run_span = 0 then complete_chunk_run ();
-          (* advance the inner odometer (innermost varies fastest); a full
-             wrap moves every thread to its next parallel iteration *)
-          let rec bump j =
-            if j < 0 then incr k_par
             else begin
-              let p = pos.(j) + 1 in
-              if p = r.inner_trips.(j) then begin
-                pos.(j) <- 0;
-                Ownership.cursor_set cur (d + 1 + j) r.inner_lowers.(j);
-                bump (j - 1)
-              end
-              else begin
-                pos.(j) <- p;
-                Ownership.cursor_set cur (d + 1 + j)
-                  (r.inner_lowers.(j)
-                  + (p * r.inner.(j).Loopir.Loop_nest.step))
-              end
+              pos.(j) <- p;
+              Ownership.cursor_set cur (d + 1 + j)
+                (r.inner_lowers.(j) + (p * r.inner.(j).Loopir.Loop_nest.step))
             end
-          in
-          bump (n_inner - 1)
-        done;
-        (* a trailing partial chunk run still counts as a run *)
-        if max_steps mod run_span <> 0 then complete_chunk_run ()
-  in
-  (* The fast region evaluator with an attribution sink attached: same
-     odometer and cursor, but FS counting goes through
-     [Fs_counter.process_attr] so every case lands in the recorder.
-     Kept as a separate loop so the plain path stays branch-free. *)
-  let eval_region_fast_attr sink counter cur buf =
-    match region_geometry () with
-    | None -> ()
-    | Some r ->
-        let n_inner = Array.length r.inner in
-        let max_par_steps = Ompsched.Schedule.max_steps_per_thread r.sched in
-        let max_steps = max_par_steps * r.inner_per_par in
-        let run_span = r.chunk * r.inner_per_par in
-        for l = 0 to d - 1 do
-          Ownership.cursor_set cur l idx.(l)
-        done;
-        let pos = Array.make (max 1 n_inner) 0 in
-        for j = 0 to n_inner - 1 do
-          Ownership.cursor_set cur (d + 1 + j) r.inner_lowers.(j)
-        done;
-        let k_par = ref 0 in
-        for s = 0 to max_steps - 1 do
-          for t = 0 to cfg.threads - 1 do
-            let q = Ompsched.Schedule.nth_iter_int r.sched ~tid:t !k_par in
-            if q >= 0 then begin
-              Ownership.cursor_set cur d (r.par_lower + (q * r.par_step));
-              Ownership.fill cur buf;
-              for i = 0 to Ownership.buf_len buf - 1 do
-                let line = Ownership.buf_line buf i in
-                let written = Ownership.buf_written buf i in
-                let fs =
-                  Fs_counter.process_attr counter ~me:t ~line ~written
-                    ~ref_id:(Ownership.buf_ref buf i) ~step:st.steps sink
-                in
-                if cfg.invalidate_on_write && written then
-                  Fs_counter.invalidate_others counter ~me:t ~line;
-                st.fs <- st.fs + fs
-              done;
-              st.iters <- st.iters + 1
-            end
-          done;
-          st.steps <- st.steps + 1;
-          if (s + 1) mod run_span = 0 then complete_chunk_run ();
-          let rec bump j =
-            if j < 0 then incr k_par
-            else begin
-              let p = pos.(j) + 1 in
-              if p = r.inner_trips.(j) then begin
-                pos.(j) <- 0;
-                Ownership.cursor_set cur (d + 1 + j) r.inner_lowers.(j);
-                bump (j - 1)
-              end
-              else begin
-                pos.(j) <- p;
-                Ownership.cursor_set cur (d + 1 + j)
-                  (r.inner_lowers.(j)
-                  + (p * r.inner.(j).Loopir.Loop_nest.step))
-              end
-            end
-          in
-          bump (n_inner - 1)
-        done;
-        if max_steps mod run_span <> 0 then complete_chunk_run ()
-  in
-  (* Reference engine: the direct transcription of the paper's procedure —
-     per-step div/mod index decomposition, freshly built ownership lists,
-     and the 1-to-All φ comparison as a scan over all other thread states.
-     Kept as the oracle the fast engine is property-checked against. *)
-  let eval_region_ref states =
-    match region_geometry () with
-    | None -> ()
-    | Some r ->
-        let max_par_steps = Ompsched.Schedule.max_steps_per_thread r.sched in
-        let max_steps = max_par_steps * r.inner_per_par in
-        let run_span = r.chunk * r.inner_per_par in
-        for s = 0 to max_steps - 1 do
-          let k_par = s / r.inner_per_par in
-          let k_in = s mod r.inner_per_par in
-          for t = 0 to cfg.threads - 1 do
-            match Ompsched.Schedule.nth_iter_of_thread r.sched ~tid:t k_par with
-            | None -> ()
-            | Some q ->
-                idx.(d) <- r.par_lower + (q * r.par_step);
-                (* mixed-radix decomposition of the inner iteration *)
-                let rem = ref k_in in
-                for j = Array.length r.inner - 1 downto 0 do
-                  let trip = r.inner_trips.(j) in
-                  let v = !rem mod trip in
-                  rem := !rem / trip;
-                  idx.(d + 1 + j) <-
-                    r.inner_lowers.(j)
-                    + (v * r.inner.(j).Loopir.Loop_nest.step)
-                done;
-                let entries = Ownership.lines_ref own idx in
-                List.iter
-                  (fun { Ownership.line; written } ->
-                    let fs = Detect.fs_cases_for_insert ~states ~me:t ~line in
-                    ignore
-                      (Thread_cache_state.insert states.(t) ~line ~written);
-                    if cfg.invalidate_on_write && written then
-                      Array.iteri
-                        (fun j s ->
-                          if j <> t then
-                            ignore (Thread_cache_state.invalidate s line))
-                        states;
-                    st.fs <- st.fs + fs)
-                  entries;
-                st.iters <- st.iters + 1
-          done;
-          st.steps <- st.steps + 1;
-          if (s + 1) mod run_span = 0 then complete_chunk_run ()
-        done;
-        (* a trailing partial chunk run still counts as a run *)
-        if max_steps mod run_span <> 0 then complete_chunk_run ()
-  in
-  (* Reference-engine attribution: same traversal as [eval_region_ref],
-     with writer provenance carried in one [Hashtbl] per thread (line ->
-     last writing reference).  Events are recorded in the same order as
-     the fast path, so the two recorders end up identical. *)
-  let eval_region_ref_attr sink states wtbl =
-    match region_geometry () with
-    | None -> ()
-    | Some r ->
-        let max_par_steps = Ompsched.Schedule.max_steps_per_thread r.sched in
-        let max_steps = max_par_steps * r.inner_per_par in
-        let run_span = r.chunk * r.inner_per_par in
-        for s = 0 to max_steps - 1 do
-          let k_par = s / r.inner_per_par in
-          let k_in = s mod r.inner_per_par in
-          for t = 0 to cfg.threads - 1 do
-            match Ompsched.Schedule.nth_iter_of_thread r.sched ~tid:t k_par with
-            | None -> ()
-            | Some q ->
-                idx.(d) <- r.par_lower + (q * r.par_step);
-                let rem = ref k_in in
-                for j = Array.length r.inner - 1 downto 0 do
-                  let trip = r.inner_trips.(j) in
-                  let v = !rem mod trip in
-                  rem := !rem / trip;
-                  idx.(d + 1 + j) <-
-                    r.inner_lowers.(j)
-                    + (v * r.inner.(j).Loopir.Loop_nest.step)
-                done;
-                let entries = Ownership.lines_with_refs own idx in
-                List.iter
-                  (fun { Ownership.a_line = line; a_written = written;
-                         a_ref = rid } ->
-                    Array.iteri
-                      (fun j sj ->
-                        if j <> t && Thread_cache_state.holds_modified sj line
-                        then
-                          Attrib.record sink ~step:st.steps ~line
-                            ~writer_tid:j
-                            ~writer_ref:
-                              (Option.value ~default:(-1)
-                                 (Hashtbl.find_opt wtbl.(j) line))
-                            ~victim_tid:t ~victim_ref:rid)
-                      states;
-                    let fs = Detect.fs_cases_for_insert ~states ~me:t ~line in
-                    ignore
-                      (Thread_cache_state.insert states.(t) ~line ~written);
-                    if written then Hashtbl.replace wtbl.(t) line rid;
-                    if cfg.invalidate_on_write && written then
-                      Array.iteri
-                        (fun j s ->
-                          if j <> t then
-                            ignore (Thread_cache_state.invalidate s line))
-                        states;
-                    st.fs <- st.fs + fs)
-                  entries;
-                st.iters <- st.iters + 1
-          done;
-          st.steps <- st.steps + 1;
-          if (s + 1) mod run_span = 0 then complete_chunk_run ()
-        done;
-        if max_steps mod run_span <> 0 then complete_chunk_run ()
-  in
-  (* Plan-driven fast engine: the static evaluator with the round-robin
-     deal swapped for a seed-replayed {!Ompsched.Dispatch.plan} (dynamic,
-     guided or work-stealing iteration order).  The attribution branch is
-     folded in — replayed plans are test/sweep-scale, so the static
-     path's branch-free duplication is not warranted here. *)
-  let eval_region_plan_fast kind seed attrib counter cur buf =
-    match region_geometry () with
-    | None -> ()
-    | Some r ->
-        let total = r.sched.Ompsched.Schedule.total in
-        let plan =
-          Ompsched.Dispatch.plan ~threads:cfg.threads ~total ~seed kind
+          end
         in
-        st.plan_steals <- st.plan_steals + Ompsched.Dispatch.steals plan;
-        let n_inner = Array.length r.inner in
-        let max_par_steps = Ompsched.Dispatch.max_steps_per_thread plan in
-        let max_steps = max_par_steps * r.inner_per_par in
-        let run_span = Ompsched.Dispatch.window plan * r.inner_per_par in
-        for l = 0 to d - 1 do
-          Ownership.cursor_set cur l idx.(l)
-        done;
-        let pos = Array.make (max 1 n_inner) 0 in
-        for j = 0 to n_inner - 1 do
-          Ownership.cursor_set cur (d + 1 + j) r.inner_lowers.(j)
-        done;
-        let k_par = ref 0 in
-        for s = 0 to max_steps - 1 do
+        for s = 0 to r.max_steps - 1 do
           for t = 0 to cfg.threads - 1 do
-            let q = Ompsched.Dispatch.nth_iter_int plan ~tid:t !k_par in
+            let q = next_iter r.deal ~tid:t !k_par in
             if q >= 0 then begin
               Ownership.cursor_set cur d (r.par_lower + (q * r.par_step));
               Ownership.fill cur buf;
@@ -493,51 +295,57 @@ let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
             end
           done;
           st.steps <- st.steps + 1;
-          if (s + 1) mod run_span = 0 then complete_chunk_run ();
-          let rec bump j =
-            if j < 0 then incr k_par
-            else begin
-              let p = pos.(j) + 1 in
-              if p = r.inner_trips.(j) then begin
-                pos.(j) <- 0;
-                Ownership.cursor_set cur (d + 1 + j) r.inner_lowers.(j);
-                bump (j - 1)
-              end
-              else begin
-                pos.(j) <- p;
-                Ownership.cursor_set cur (d + 1 + j)
-                  (r.inner_lowers.(j)
-                  + (p * r.inner.(j).Loopir.Loop_nest.step))
-              end
-            end
-          in
+          if (s + 1) mod r.run_span = 0 then complete_chunk_run ();
           bump (n_inner - 1)
         done;
-        if max_steps > 0 && max_steps mod run_span <> 0 then
-          complete_chunk_run ()
+        (* a trailing partial chunk run still counts as a run *)
+        if r.max_steps mod r.run_span <> 0 then complete_chunk_run ()
   in
-  (* Plan-driven reference engine: the paper-transcription traversal over
-     the same replayed plan, with the attribution recorder fed in the
-     same event order as the fast path so the two recorders match. *)
-  let eval_region_plan_ref kind seed attrib states wtbl =
+  (* Reference engine: the direct transcription of the paper's procedure —
+     per-step div/mod index decomposition, freshly built ownership lists,
+     and the 1-to-All φ comparison as a scan over all other thread states.
+     Kept as the oracle the fast engine is property-checked against.  With
+     an attribution sink, writer provenance is carried in one [Hashtbl]
+     per thread (line -> last writing reference), and events are recorded
+     in the same order as the fast path, so the two recorders end up
+     identical. *)
+  let eval_region_ref states wtbl =
+    (* one insertion of [line] into thread [me]'s state, attributed to
+       reference [rid] *)
+    let insert ~me ~line ~written ~rid =
+      (match attrib with
+      | None -> ()
+      | Some sink ->
+          Array.iteri
+            (fun j sj ->
+              if j <> me && Thread_cache_state.holds_modified sj line then
+                Attrib.record sink ~step:st.steps ~line ~writer_tid:j
+                  ~writer_ref:
+                    (Option.value ~default:(-1)
+                       (Hashtbl.find_opt wtbl.(j) line))
+                  ~victim_tid:me ~victim_ref:rid)
+            states;
+          if written then Hashtbl.replace wtbl.(me) line rid);
+      let fs = Detect.fs_cases_for_insert ~states ~me ~line in
+      ignore (Thread_cache_state.insert states.(me) ~line ~written);
+      if cfg.invalidate_on_write && written then
+        Array.iteri
+          (fun j s ->
+            if j <> me then ignore (Thread_cache_state.invalidate s line))
+          states;
+      st.fs <- st.fs + fs
+    in
     match region_geometry () with
     | None -> ()
     | Some r ->
-        let total = r.sched.Ompsched.Schedule.total in
-        let plan =
-          Ompsched.Dispatch.plan ~threads:cfg.threads ~total ~seed kind
-        in
-        st.plan_steals <- st.plan_steals + Ompsched.Dispatch.steals plan;
-        let max_par_steps = Ompsched.Dispatch.max_steps_per_thread plan in
-        let max_steps = max_par_steps * r.inner_per_par in
-        let run_span = Ompsched.Dispatch.window plan * r.inner_per_par in
-        for s = 0 to max_steps - 1 do
+        for s = 0 to r.max_steps - 1 do
           let k_par = s / r.inner_per_par in
           let k_in = s mod r.inner_per_par in
           for t = 0 to cfg.threads - 1 do
-            let q = Ompsched.Dispatch.nth_iter_int plan ~tid:t k_par in
+            let q = next_iter r.deal ~tid:t k_par in
             if q >= 0 then begin
               idx.(d) <- r.par_lower + (q * r.par_step);
+              (* mixed-radix decomposition of the inner iteration *)
               let rem = ref k_in in
               for j = Array.length r.inner - 1 downto 0 do
                 let trip = r.inner_trips.(j) in
@@ -548,62 +356,23 @@ let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
               done;
               (match attrib with
               | None ->
-                  let entries = Ownership.lines_ref own idx in
                   List.iter
                     (fun { Ownership.line; written } ->
-                      let fs =
-                        Detect.fs_cases_for_insert ~states ~me:t ~line
-                      in
-                      ignore
-                        (Thread_cache_state.insert states.(t) ~line ~written);
-                      if cfg.invalidate_on_write && written then
-                        Array.iteri
-                          (fun j s ->
-                            if j <> t then
-                              ignore (Thread_cache_state.invalidate s line))
-                          states;
-                      st.fs <- st.fs + fs)
-                    entries
-              | Some sink ->
-                  let entries = Ownership.lines_with_refs own idx in
+                      insert ~me:t ~line ~written ~rid:(-1))
+                    (Ownership.lines own idx)
+              | Some _ ->
                   List.iter
-                    (fun { Ownership.a_line = line; a_written = written;
-                           a_ref = rid } ->
-                      Array.iteri
-                        (fun j sj ->
-                          if
-                            j <> t
-                            && Thread_cache_state.holds_modified sj line
-                          then
-                            Attrib.record sink ~step:st.steps ~line
-                              ~writer_tid:j
-                              ~writer_ref:
-                                (Option.value ~default:(-1)
-                                   (Hashtbl.find_opt wtbl.(j) line))
-                              ~victim_tid:t ~victim_ref:rid)
-                        states;
-                      let fs =
-                        Detect.fs_cases_for_insert ~states ~me:t ~line
-                      in
-                      ignore
-                        (Thread_cache_state.insert states.(t) ~line ~written);
-                      if written then Hashtbl.replace wtbl.(t) line rid;
-                      if cfg.invalidate_on_write && written then
-                        Array.iteri
-                          (fun j s ->
-                            if j <> t then
-                              ignore (Thread_cache_state.invalidate s line))
-                          states;
-                      st.fs <- st.fs + fs)
-                    entries);
+                    (fun { Ownership.a_line; a_written; a_ref } ->
+                      insert ~me:t ~line:a_line ~written:a_written ~rid:a_ref)
+                    (Ownership.lines_with_refs own idx));
               st.iters <- st.iters + 1
             end
           done;
           st.steps <- st.steps + 1;
-          if (s + 1) mod run_span = 0 then complete_chunk_run ()
+          if (s + 1) mod r.run_span = 0 then complete_chunk_run ()
         done;
-        if max_steps > 0 && max_steps mod run_span <> 0 then
-          complete_chunk_run ()
+        (* a trailing partial chunk run still counts as a run *)
+        if r.max_steps mod r.run_span <> 0 then complete_chunk_run ()
   in
   (* enumerate the sequential outer loops *)
   let rec outer body level =
@@ -621,47 +390,24 @@ let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
     end
   in
   (try
-     match (engine, dispatch) with
-     | `Fast, None ->
+     match engine with
+     | `Fast ->
          let counter =
            Fs_counter.create ~threads:cfg.threads ~capacity:(capacity_of cfg)
          in
          let cur = Ownership.cursor own in
          let buf = Ownership.buffer () in
-         (match attrib with
-         | None -> outer (fun () -> eval_region_fast counter cur buf) 0
-         | Some sink ->
-             outer (fun () -> eval_region_fast_attr sink counter cur buf) 0)
-     | `Fast, Some (kind, seed) ->
-         let counter =
-           Fs_counter.create ~threads:cfg.threads ~capacity:(capacity_of cfg)
-         in
-         let cur = Ownership.cursor own in
-         let buf = Ownership.buffer () in
-         outer
-           (fun () -> eval_region_plan_fast kind seed attrib counter cur buf)
-           0
-     | `Reference, None ->
+         outer (fun () -> eval_region_fast counter cur buf) 0
+     | `Reference ->
          let states =
            Array.init cfg.threads (fun _ ->
                Thread_cache_state.create ~capacity:(capacity_of cfg))
          in
-         (match attrib with
-         | None -> outer (fun () -> eval_region_ref states) 0
-         | Some sink ->
-             let wtbl =
-               Array.init cfg.threads (fun _ -> Hashtbl.create 64)
-             in
-             outer (fun () -> eval_region_ref_attr sink states wtbl) 0)
-     | `Reference, Some (kind, seed) ->
-         let states =
-           Array.init cfg.threads (fun _ ->
-               Thread_cache_state.create ~capacity:(capacity_of cfg))
+         let wtbl =
+           if Option.is_none attrib then [||]
+           else Array.init cfg.threads (fun _ -> Hashtbl.create 64)
          in
-         let wtbl = Array.init cfg.threads (fun _ -> Hashtbl.create 64) in
-         outer
-           (fun () -> eval_region_plan_ref kind seed attrib states wtbl)
-           0
+         outer (fun () -> eval_region_ref states wtbl) 0
    with Stop -> ());
   {
     fs_cases = st.fs;

@@ -4,10 +4,12 @@
     1-to-All detection) — and returns the total number of FS cases.
 
     Threads advance in lockstep, one innermost iteration per step, through
-    their [schedule(static, chunk)] shares; sequential loops enclosing the
-    parallel loop are executed in order (cache states persist across them).
-    Inner loop bounds are evaluated per region with the parallel variable
-    at its lower bound (rectangular-inner assumption). *)
+    their [schedule(static, chunk)] shares, or through a seed-replayed
+    dispatch plan (see [config.sched]) — the same walk either way, only
+    the deal differs; sequential loops enclosing the parallel loop are
+    executed in order (cache states persist across them).  Inner loop
+    bounds are evaluated per region with the parallel variable at its
+    lower bound (rectangular-inner assumption). *)
 
 type stack_policy =
   | Level_l1  (** stack sized as the private L1 — the paper's setting *)
@@ -47,10 +49,14 @@ type engine = [ `Fast | `Reference ]
     strength-reduced through an incremental cursor into a reused buffer,
     inner indices advanced by an odometer instead of per-step div/mod,
     and FS counting through {!Fs_counter}'s bitmask popcount.
-    [`Reference] is the direct transcription of the paper's procedure
-    ({!Ownership.lines_ref} + {!Detect.fs_cases_for_insert}); it exists
-    as the oracle the fast engine is property-checked against.  Both
-    produce identical results. *)
+    [`Reference] is the direct transcription of the paper's procedure:
+    per-step div/mod index decomposition, a freshly built
+    {!Ownership.lines} list per iteration, and
+    {!Detect.fs_cases_for_insert} over per-thread
+    {!Thread_cache_state.t} stacks; it exists as the oracle the fast
+    engine is property-checked against.  Each engine is one lockstep
+    traversal serving the static deal and replayed plans, with and
+    without attribution.  Both produce identical results. *)
 
 type result = {
   fs_cases : int;  (** the paper's [N_fs_model] *)
@@ -91,5 +97,6 @@ val run :
     case — (writer thread, writing reference) invalidating (victim
     thread, victim reference) on a cache line at a lockstep step — under
     either engine, with identical event streams ({!Attrib.total} equals
-    the returned [fs_cases]).  Without it the engines run exactly the
-    pre-attribution code paths, so the fast path stays allocation-free. *)
+    the returned [fs_cases]).  The sink is an immutable option tested
+    once per ownership-list entry; without it no recorder call is made
+    and the fast path allocates nothing per access. *)

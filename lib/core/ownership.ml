@@ -10,7 +10,6 @@ type compiled_ref = {
 
 type t = {
   refs : compiled_ref array;
-  srcs : Loopir.Array_ref.t array;  (* same order as [refs] *)
   line_bytes : int;
   nslots : int;
 }
@@ -58,12 +57,11 @@ let compile ~layout ~line_bytes ~params ~var_slots (nest : Loopir.Loop_nest.t)
   in
   {
     refs = Array.of_list (List.map compile_ref nest.Loopir.Loop_nest.refs);
-    srcs = Array.of_list nest.Loopir.Loop_nest.refs;
     line_bytes;
     nslots = List.length var_slots;
   }
 
-let lines_ref t idx =
+let lines t idx =
   let acc = ref [] in
   (* first-touch order with write-domination; reference lists are short so a
      linear merge beats hashing *)
@@ -91,12 +89,10 @@ let lines_ref t idx =
     t.refs;
   List.rev !acc
 
-let lines = lines_ref
-
-(* [lines_ref] with per-entry provenance: each deduplicated line carries
+(* [lines] with per-entry provenance: each deduplicated line carries
    the index of the reference it is attributed to — the first write
    touching it, else the first touch.  Entry order and written flags are
-   exactly those of [lines_ref]. *)
+   exactly those of [lines]. *)
 let lines_with_refs t idx =
   let acc = ref [] in
   let rec merge line written rid = function
@@ -127,7 +123,6 @@ let lines_with_refs t idx =
   List.rev !acc
 
 let ref_count t = Array.length t.refs
-let source_ref t i = t.srcs.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental evaluation: a cursor keeps one running address per
@@ -232,12 +227,3 @@ let fill c b =
       push b line cref.write r
     done
   done
-
-let fold_lines c b ~init ~f =
-  fill c b;
-  let acc = ref init in
-  for i = 0 to b.len - 1 do
-    acc := f !acc ~line:(Array.unsafe_get b.lin i)
-             ~written:(Array.unsafe_get b.wr i)
-  done;
-  !acc

@@ -11,9 +11,9 @@ type entry = { line : int; written : bool }
 
 type attr_entry = { a_line : int; a_written : bool; a_ref : int }
 (** An ownership-list entry with provenance: [a_ref] is the index (in
-    compilation order, see {!source_ref}) of the reference the line is
-    attributed to — the first write touching it in the iteration, else
-    the first touch. *)
+    compilation order, i.e. the order of the nest's [Loop_nest.refs]) of
+    the reference the line is attributed to — the first write touching
+    it in the iteration, else the first touch. *)
 
 type t
 
@@ -32,25 +32,18 @@ val compile :
 val lines : t -> int array -> entry list
 (** Ownership list for the iteration whose index values are given in
     [var_slots] order.  The result is freshly allocated, deduplicated,
-    in first-touch order. *)
-
-val lines_ref : t -> int array -> entry list
-(** Alias of {!lines}: the list-building reference implementation the
-    incremental {!cursor}/{!fill} engine is checked against. *)
+    in first-touch order.  This list-building evaluation is the reference
+    implementation the incremental {!cursor}/{!fill} engine is checked
+    against. *)
 
 val lines_with_refs : t -> int array -> attr_entry list
-(** {!lines_ref} with per-entry provenance; same entries, same order,
+(** {!lines} with per-entry provenance; same entries, same order,
     same write domination.  Used by the reference engine's attribution
     path. *)
 
 val ref_count : t -> int
 (** Number of compiled references (the length of the nest's
     [Loop_nest.refs]). *)
-
-val source_ref : t -> int -> Loopir.Array_ref.t
-(** The source-level reference a compiled index came from; indices are
-    in compilation order ([0 .. ref_count - 1]).
-    @raise Invalid_argument on an out-of-range index. *)
 
 (** {2 Incremental evaluation}
 
@@ -88,11 +81,3 @@ val buf_ref : buffer -> int -> int
 val fill : cursor -> buffer -> unit
 (** Replace [buffer]'s contents with the ownership list at the cursor's
     current index values. *)
-
-val fold_lines :
-  cursor ->
-  buffer ->
-  init:'a ->
-  f:('a -> line:int -> written:bool -> 'a) ->
-  'a
-(** {!fill} then fold over the buffer. *)

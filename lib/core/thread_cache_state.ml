@@ -2,9 +2,6 @@ type t = bool Cachesim.Lru_stack.t
 
 let create ~capacity : t = Cachesim.Lru_stack.create ~capacity
 
-let of_cache geom =
-  create ~capacity:(Archspec.Cache_geom.lines geom)
-
 let holds (t : t) line = Cachesim.Lru_stack.mem t line
 
 let holds_modified (t : t) line =

@@ -9,11 +9,8 @@
 type t
 
 val create : capacity:int -> t
-(** [capacity] in lines ({!of_cache} derives it from a geometry); use
-    [max_int] for the unbounded-stack ablation. *)
-
-val of_cache : Archspec.Cache_geom.t -> t
-(** {!create} with the geometry's line capacity (size / line bytes). *)
+(** [capacity] in lines; use [max_int] for the unbounded-stack
+    ablation. *)
 
 val insert : t -> line:int -> written:bool -> (int * bool) option
 (** Insert or refresh a line with one probe of the stack; a line once

@@ -1,180 +1,34 @@
-(* Minimal JSON reader used only to validate the lint renderer's output:
-   the repository's Analysis.Json is print-only by design, so the fuzzer
-   brings its own parser to prove the emitted SARIF is well-formed and
-   carries the required top-level shape. *)
+(* Shape checks for the JSON the renderers emit, over the service's
+   reader (Service.Jsonp): the fuzzer proves the emitted SARIF and
+   trace_event documents are well-formed and carry the promised
+   top-level shape. *)
 
-type value =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of value list
-  | Obj of (string * value) list
+open Analysis
 
-exception Bad of string * int  (* message, position *)
+let member = Service.Jsonp.member
 
-let parse (s : string) : (value, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let err m = raise (Bad (m, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> err (Printf.sprintf "expected %c, got %c" c c')
-    | None -> err (Printf.sprintf "expected %c, got end of input" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (pos := !pos + l; v)
-    else err ("bad literal, expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then err "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance (); Buffer.contents b
-        | '\\' ->
-            advance ();
-            (if !pos >= n then err "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char b '"'; advance ()
-               | '\\' -> Buffer.add_char b '\\'; advance ()
-               | '/' -> Buffer.add_char b '/'; advance ()
-               | 'b' -> Buffer.add_char b '\b'; advance ()
-               | 'f' -> Buffer.add_char b '\012'; advance ()
-               | 'n' -> Buffer.add_char b '\n'; advance ()
-               | 'r' -> Buffer.add_char b '\r'; advance ()
-               | 't' -> Buffer.add_char b '\t'; advance ()
-               | 'u' ->
-                   advance ();
-                   if !pos + 4 > n then err "truncated \\u escape";
-                   let hex = String.sub s !pos 4 in
-                   String.iter
-                     (function
-                       | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-                       | _ -> err "bad \\u escape")
-                     hex;
-                   (* validation only: the code point itself is not needed *)
-                   Buffer.add_string b "?";
-                   pos := !pos + 4
-               | c -> err (Printf.sprintf "bad escape \\%c" c));
-            go ()
-        | c when Char.code c < 0x20 -> err "unescaped control character"
-        | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let d = ref 0 in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' -> incr d; advance (); go ()
-        | _ -> ()
-      in
-      go ();
-      if !d = 0 then err "expected digit"
-    in
-    digits ();
-    (match peek () with
-    | Some '.' -> advance (); digits ()
-    | _ -> ());
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with
-        | Some ('+' | '-') -> advance ()
-        | _ -> ());
-        digits ()
-    | _ -> ());
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-            | _ -> err "expected , or } in object"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); List [])
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
-            | _ -> err "expected , or ] in array"
-          in
-          items []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> Num (parse_number ())
-    | Some c -> err (Printf.sprintf "unexpected character %c" c)
-    | None -> err "unexpected end of input"
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then err "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Bad (m, p) -> Error (Printf.sprintf "%s at byte %d" m p)
-
-let member key = function
-  | Obj kvs -> List.assoc_opt key kvs
-  | _ -> None
+let parse s =
+  Result.map_error (fun m -> "invalid JSON: " ^ m) (Service.Jsonp.parse s)
 
 (* the SARIF shape Diag.to_json promises: a version and one run carrying
    a tool and a results array *)
 let validate_sarif s =
   match parse s with
-  | Error m -> Error ("invalid JSON: " ^ m)
+  | Error _ as e -> e
   | Ok v -> (
       match member "version" v with
       | None -> Error "missing \"version\""
       | Some _ -> (
           match member "runs" v with
-          | Some (List (run :: _)) -> (
+          | Some (Json.List (run :: _)) -> (
               match (member "tool" run, member "results" run) with
-              | Some _, Some (List _) -> Ok ()
+              | Some _, Some (Json.List _) -> Ok ()
               | None, _ -> Error "run missing \"tool\""
               | _, _ -> Error "run missing \"results\" array")
-          | Some (List []) -> Error "empty \"runs\""
+          | Some (Json.List []) -> Error "empty \"runs\""
           | _ -> Error "missing \"runs\" array"))
+
+let is_number = function Some (Json.Int _ | Json.Float _) -> true | _ -> false
 
 (* the Chrome trace_event shape Explain.trace_json promises: an object
    with a traceEvents array whose entries all carry a "ph" phase; every
@@ -182,21 +36,23 @@ let validate_sarif s =
    instant-event count so callers can reconcile it with the recorder. *)
 let validate_trace s =
   match parse s with
-  | Error m -> Error ("invalid JSON: " ^ m)
+  | Error _ as e -> e
   | Ok v -> (
       match member "traceEvents" v with
-      | Some (List events) ->
+      | Some (Json.List events) ->
           let rec go n = function
             | [] -> Ok n
             | e :: rest -> (
                 match member "ph" e with
-                | Some (Str "M") -> go n rest
-                | Some (Str "i") -> (
-                    match (member "ts" e, member "pid" e, member "tid" e) with
-                    | Some (Num _), Some (Num _), Some (Num _) ->
-                        go (n + 1) rest
-                    | _ -> Error "instant event missing ts/pid/tid")
-                | Some (Str ph) -> Error ("unexpected phase " ^ ph)
+                | Some (Json.Str "M") -> go n rest
+                | Some (Json.Str "i") ->
+                    if
+                      is_number (member "ts" e)
+                      && is_number (member "pid" e)
+                      && is_number (member "tid" e)
+                    then go (n + 1) rest
+                    else Error "instant event missing ts/pid/tid"
+                | Some (Json.Str ph) -> Error ("unexpected phase " ^ ph)
                 | _ -> Error "event missing \"ph\"")
           in
           go 0 events

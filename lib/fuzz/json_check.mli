@@ -1,22 +1,8 @@
-(** Minimal JSON reader used only to validate the lint renderer's
-    output: {!Analysis.Json} is print-only by design, so the fuzzer
-    brings its own parser to prove the emitted SARIF is well-formed and
-    carries the required top-level shape. *)
-
-type value =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of value list
-  | Obj of (string * value) list
-
-val parse : string -> (value, string) result
-(** Parse a complete JSON document; [Error] carries a message with the
-    failing byte position. *)
-
-val member : string -> value -> value option
-(** Field lookup on an [Obj]; [None] on missing fields and non-objects. *)
+(** Shape checks for the JSON documents the renderers emit, read with
+    {!Service.Jsonp.parse} (numbers are [Int] or [Float]).  The fuzzer
+    uses them to prove the lint renderer's SARIF and the explain trace
+    renderer's [trace_event] output are well-formed and carry the
+    promised top-level shape. *)
 
 val validate_sarif : string -> (unit, string) result
 (** Parse and check the SARIF shape the lint renderer promises: a

@@ -6,14 +6,31 @@
 
 let check = Alcotest.check
 
-let configs = [ (2, None); (8, Some 4) ]
+let configs = [ (2, None, None); (8, Some 4, None) ]
 
-let with_kernels f =
+(* replayed dynamic,1 and ws,2 plans, two seeds each, on small instances
+   (every case also runs the reference engine) *)
+let plan_kernels () =
+  [
+    Kernels.Heat.kernel ~rows:6 ~cols:520 ();
+    Kernels.Saxpy.kernel ~n:640 ();
+    Kernels.Transpose.kernel ~n:48 ();
+  ]
+
+let plan_configs =
+  List.concat_map
+    (fun kind -> List.map (fun seed -> (4, None, Some (kind, seed))) [ 0; 1 ])
+    [
+      Ompsched.Dispatch.Dynamic { chunk = 1 };
+      Ompsched.Dispatch.Work_stealing { chunk = 2 };
+    ]
+
+let with_kernels ?(kernels = Kernels.Registry.all ()) ?(configs = configs) f =
   List.iter
     (fun (k : Kernels.Kernel.t) ->
       let checked = Kernels.Kernel.parse k in
       List.iter
-        (fun (threads, chunk) ->
+        (fun (threads, chunk, sched) ->
           let params = [ ("num_threads", threads) ] in
           let nest =
             Loopir.Lower.lower checked ~func:k.Kernels.Kernel.func ~params
@@ -23,16 +40,23 @@ let with_kernels f =
               (Fsmodel.Model.default_config ~threads ()) with
               Fsmodel.Model.chunk;
               params;
+              sched;
             }
           in
           let what =
-            Printf.sprintf "%s t=%d c=%s" k.Kernels.Kernel.name threads
+            Printf.sprintf "%s t=%d c=%s%s" k.Kernels.Kernel.name threads
               (match chunk with Some c -> string_of_int c | None -> "pragma")
+              (match sched with
+              | Some (kind, seed) ->
+                  Printf.sprintf " %s seed %d"
+                    (Ompsched.Dispatch.kind_name kind)
+                    seed
+              | None -> "")
           in
           f ~what ~checked ~nest ~cfg ~uri:("kernel:" ^ k.Kernels.Kernel.name)
             ~func:k.Kernels.Kernel.func)
         configs)
-    (Kernels.Registry.all ())
+    kernels
 
 (* the recorder's pair histogram as a canonical sorted list *)
 let pairs_list sink =
@@ -68,33 +92,37 @@ let test_conservation () =
         [ `Fast; `Reference ])
 
 (* Both engines record the same provenance, not just the same count:
-   identical pair histograms and identical trace rings. *)
+   identical pair histograms and identical trace rings, on the static
+   deal and on replayed plans. *)
 let test_engines_agree () =
-  with_kernels (fun ~what ~checked ~nest ~cfg ~uri ~func ->
-      let go engine =
-        Explain.analyze ~engine ~trace_cap:4096 ~uri ~func cfg ~nest ~checked
+  let agree ~what ~checked ~nest ~cfg ~uri ~func =
+    let go engine =
+      Explain.analyze ~engine ~trace_cap:4096 ~uri ~func cfg ~nest ~checked
+    in
+    let fast = go `Fast and refr = go `Reference in
+    check pair_t
+      (what ^ ": pair histograms")
+      (as_pair_t (pairs_list refr.Explain.recorder))
+      (as_pair_t (pairs_list fast.Explain.recorder));
+    let rf = refr.Explain.recorder and ff = fast.Explain.recorder in
+    check Alcotest.int (what ^ ": trace_len")
+      (Fsmodel.Attrib.trace_len rf)
+      (Fsmodel.Attrib.trace_len ff);
+    for i = 0 to Fsmodel.Attrib.trace_len rf - 1 do
+      let ev r =
+        ( Fsmodel.Attrib.trace_step r i,
+          Fsmodel.Attrib.trace_line r i,
+          Fsmodel.Attrib.trace_writer_tid r i,
+          Fsmodel.Attrib.trace_writer_ref r i,
+          Fsmodel.Attrib.trace_victim_tid r i,
+          Fsmodel.Attrib.trace_victim_ref r i )
       in
-      let fast = go `Fast and refr = go `Reference in
-      check pair_t
-        (what ^ ": pair histograms")
-        (as_pair_t (pairs_list refr.Explain.recorder))
-        (as_pair_t (pairs_list fast.Explain.recorder));
-      let rf = refr.Explain.recorder and ff = fast.Explain.recorder in
-      check Alcotest.int (what ^ ": trace_len")
-        (Fsmodel.Attrib.trace_len rf)
-        (Fsmodel.Attrib.trace_len ff);
-      for i = 0 to Fsmodel.Attrib.trace_len rf - 1 do
-        let ev r =
-          ( Fsmodel.Attrib.trace_step r i,
-            Fsmodel.Attrib.trace_line r i,
-            Fsmodel.Attrib.trace_writer_tid r i,
-            Fsmodel.Attrib.trace_writer_ref r i,
-            Fsmodel.Attrib.trace_victim_tid r i,
-            Fsmodel.Attrib.trace_victim_ref r i )
-        in
-        if ev rf <> ev ff then
-          Alcotest.failf "%s: trace event %d differs between engines" what i
-      done)
+      if ev rf <> ev ff then
+        Alcotest.failf "%s: trace event %d differs between engines" what i
+    done
+  in
+  with_kernels agree;
+  with_kernels ~kernels:(plan_kernels ()) ~configs:plan_configs agree
 
 (* The ring keeps the first [cap] events and only aggregates the rest;
    capping must not change any aggregate. *)

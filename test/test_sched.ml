@@ -2,8 +2,10 @@
    distributional verdicts rest on, checked over the kernel registry.
 
    - replay determinism: a (kind, seed) pair is one value, not a sample;
-   - cross-engine equality: fast and reference agree on every seed, not
-     just on the static deal;
+   - cross-engine equality: fast and reference agree on every seed, in
+     every result field (chunk runs, truncation and the sample series
+     included, with and without a chunk-run cap), not just on the static
+     deal;
    - static equivalence: a one-thread team, or one chunk covering the
      whole trip, collapses dynamic dispatch back to the static deal;
    - the Cole-Ramachandran steal bound: work stealing departs from the
@@ -26,7 +28,7 @@ let setup (kernel : Kernels.Kernel.t) =
   in
   (checked, nest)
 
-let run ?engine cfg ~nest ~checked = Model.run ?engine cfg ~nest ~checked
+let run cfg ~nest ~checked = Model.run cfg ~nest ~checked
 
 let par_trip nest =
   Loopir.Loop_nest.trip_count
@@ -113,21 +115,14 @@ let test_engines_agree_per_seed () =
           List.iter
             (fun seed ->
               let c = { cfg with Model.sched = Some (kind, seed) } in
-              let fast = run ~engine:`Fast c ~nest ~checked in
-              let refr = run ~engine:`Reference c ~nest ~checked in
-              let name =
+              let what =
                 Printf.sprintf "%s %s seed %d" kernel.Kernels.Kernel.name
                   (Ompsched.Dispatch.kind_name kind)
                   seed
               in
-              check Alcotest.int (name ^ " fs") refr.Model.fs_cases
-                fast.Model.fs_cases;
-              check Alcotest.int (name ^ " steps") refr.Model.thread_steps
-                fast.Model.thread_steps;
-              check Alcotest.int (name ^ " iters")
-                refr.Model.iterations_evaluated fast.Model.iterations_evaluated;
-              check Alcotest.int (name ^ " steals") refr.Model.steals
-                fast.Model.steals)
+              Engine_oracle.assert_engines_agree ~what c ~nest ~checked;
+              Engine_oracle.assert_engines_agree ~what:(what ^ " capped")
+                ~max_chunk_runs:8 c ~nest ~checked)
             [ 0; 1; 2; 3; 4 ])
         kinds)
     (small_kernels ())
