@@ -58,8 +58,19 @@ let func_arg =
   Arg.(value & opt (some string) None
        & info [ "func"; "f" ] ~docv:"FUNC" ~doc:"Kernel function name.")
 
+(* Team and chunk sizes below 1 are rejected where they enter, not deep
+   inside the schedule. *)
+let positive =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | Some n -> Error (`Msg (Printf.sprintf "must be at least 1 (got %d)" n))
+        | None -> Error (`Msg (Printf.sprintf "invalid integer '%s'" s))),
+      Format.pp_print_int )
+
 let threads_arg =
-  Arg.(value & opt int 8
+  Arg.(value & opt positive 8
        & info [ "threads"; "t" ] ~docv:"N" ~doc:"OpenMP team size.")
 
 let jobs_arg =
@@ -187,11 +198,11 @@ let analyze file kernel func threads fs_chunk nfs_chunk predict contention
 
 let analyze_cmd =
   let fs_chunk =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "fs-chunk" ] ~docv:"C" ~doc:"FS-prone chunk size.")
   in
   let nfs_chunk =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "nfs-chunk" ] ~docv:"C" ~doc:"Optimized chunk size.")
   in
   let predict =
@@ -254,7 +265,7 @@ let lint_cmd =
          & info [ "json" ] ~doc:"Emit a SARIF-shaped JSON report.")
   in
   let chunk =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "chunk"; "c" ] ~docv:"C"
              ~doc:"Schedule chunk-size override for the cost model.")
   in
@@ -327,7 +338,7 @@ let explain file kernel func threads chunk params engine format top trace_cap
 
 let explain_cmd =
   let chunk =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "chunk"; "c" ] ~docv:"C"
              ~doc:"Schedule chunk-size override for the cost model.")
   in
@@ -413,7 +424,7 @@ let simulate_cmd =
          & info [] ~docv:"KERNEL" ~doc:"Bundled kernel name.")
   in
   let chunk =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "chunk"; "c" ] ~docv:"C" ~doc:"Chunk-size override.")
   in
   let window =
@@ -517,7 +528,7 @@ let compare_cmd =
          & info [] ~docv:"KERNEL" ~doc:"Bundled kernel name.")
   in
   let chunks =
-    Arg.(value & opt (list int) []
+    Arg.(value & opt (list positive) []
          & info [ "chunks" ] ~docv:"C1,C2,..."
              ~doc:"Chunk sizes to sweep (default 1,2,4,8,16,32).")
   in

@@ -50,10 +50,28 @@ type region = {
 
 (* Per-line simulation state carried across regions: which threads hold
    the line modified (the engine's sticky written bit) and the global
-   lockstep step of each thread's last touch. *)
+   lockstep step of each thread's last touch.  One small record per
+   line: a flat table per estimate raised peak memory, as the parametric
+   fit makes hundreds of estimates. *)
 type lstate = { mutable writers : int; last : int array }
 
+(* The events of one cache line in (parallel step, thread) order: entry
+   [e < n] says thread [tid.(e)] touches the line at its parallel step
+   [kpar.(e)], writing it when [wr.(e)].  One buffer serves every line
+   of an estimate; it is refilled in place and grown on demand. *)
+type events = {
+  mutable n : int;
+  mutable kpar : int array;
+  mutable tid : int array;
+  mutable wr : bool array;
+}
+
+(* bumped from every domain, like [Fsmodel.Model.run_count] *)
+let estimates = Atomic.make 0
+let estimate_count () = Atomic.get estimates
+
 let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
+  Atomic.incr estimates;
   try
     (match Loop_nest.schedule_kind nest with
     | `Static -> ()
@@ -371,12 +389,17 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
             acc + m)
           0 r.rbases
       in
+      let ev =
+        { n = 0; kpar = Array.make 64 0; tid = Array.make 64 0;
+          wr = Array.make 64 false }
+      in
       (* enumerate the lines of one countable base in one region; calls
-         [f line events] with events sorted by (parallel step, thread) *)
+         [f line ev] with [ev] holding the line's events *)
       let iter_lines (r : region) (b : binfo) f =
         let refs = Array.of_list b.brefs in
         let nr = Array.length refs in
         if nr > 0 then begin
+          let chunk = r.rchunk in
           let lo =
             Array.fold_left (fun m (rf : rref) -> min m rf.addr0) max_int refs
           in
@@ -386,66 +409,125 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
                 max m (rf.addr0 + (rf.stride * (r.rn - 1)) + rf.size - 1))
               min_int refs
           in
-          let wins = Array.make nr (1, 0) in
+          (* reference [k] touches the line at iterations [wa.(k), wz.(k)] *)
+          let wa = Array.make nr 1 and wz = Array.make nr 0 in
+          (* append iteration [q], run by thread [t] at parallel step
+             [kpar], if some reference touches the line there *)
+          let emit q kpar t =
+            let cov = ref false and w = ref false in
+            for k = 0 to nr - 1 do
+              if q >= wa.(k) && q <= wz.(k) then begin
+                cov := true;
+                if refs.(k).write then w := true
+              end
+            done;
+            if !cov then begin
+              let e = ev.n in
+              ev.kpar.(e) <- kpar;
+              ev.tid.(e) <- t;
+              ev.wr.(e) <- !w;
+              ev.n <- e + 1
+            end
+          in
+          (* offset [j] of chunk [c], dealt in round [round] *)
+          let at round c j =
+            emit ((c * chunk) + j) ((round * chunk) + j) (c - (round * threads))
+          in
           for line = fdiv lo lb to fdiv hi lb do
             let lbyte = line * lb in
             let q0 = ref max_int and q1 = ref min_int in
             for k = 0 to nr - 1 do
               let rf = refs.(k) in
-              let w =
-                if rf.stride > 0 then
-                  ( max 0 (cdiv (lbyte - rf.addr0 - rf.size + 1) rf.stride),
-                    min (r.rn - 1) (fdiv (lbyte + lb - 1 - rf.addr0) rf.stride)
-                  )
-                else if rf.addr0 <= lbyte + lb - 1 && rf.addr0 + rf.size - 1 >= lbyte
-                then (0, r.rn - 1)
-                else (1, 0)
-              in
-              wins.(k) <- w;
-              let a, z = w in
-              if a <= z then begin
-                if a < !q0 then q0 := a;
-                if z > !q1 then q1 := z
+              if rf.stride > 0 then begin
+                wa.(k) <- max 0 (cdiv (lbyte - rf.addr0 - rf.size + 1) rf.stride);
+                wz.(k) <-
+                  min (r.rn - 1) (fdiv (lbyte + lb - 1 - rf.addr0) rf.stride)
+              end
+              else if rf.addr0 <= lbyte + lb - 1 && rf.addr0 + rf.size - 1 >= lbyte
+              then begin
+                wa.(k) <- 0;
+                wz.(k) <- r.rn - 1
+              end
+              else begin
+                wa.(k) <- 1;
+                wz.(k) <- 0
+              end;
+              if wa.(k) <= wz.(k) then begin
+                if wa.(k) < !q0 then q0 := wa.(k);
+                if wz.(k) > !q1 then q1 := wz.(k)
               end
             done;
-            if !q0 <= !q1 then begin
-              tick (!q1 - !q0 + 1);
-              let evs = ref [] in
-              for q = !q0 to !q1 do
-                let cov = ref false and w = ref false in
-                for k = 0 to nr - 1 do
-                  let a, z = wins.(k) in
-                  if q >= a && q <= z then begin
-                    cov := true;
-                    if refs.(k).write then w := true
-                  end
-                done;
-                if !cov then begin
-                  let cidx = q / r.rchunk in
-                  let t = cidx mod threads in
-                  let kpar =
-                    ((cidx / threads) * r.rchunk) + (q mod r.rchunk)
-                  in
-                  evs := (kpar, t, !w) :: !evs
+            let q0 = !q0 and q1 = !q1 in
+            if q0 <= q1 then begin
+              tick (q1 - q0 + 1);
+              if Array.length ev.kpar < q1 - q0 + 1 then begin
+                let cap = max (q1 - q0 + 1) (2 * Array.length ev.kpar) in
+                ev.kpar <- Array.make cap 0;
+                ev.tid <- Array.make cap 0;
+                ev.wr <- Array.make cap false
+              end;
+              ev.n <- 0;
+              (* Emit [q0, q1] in (parallel step, thread) order with no
+                 sort.  Chunk [c] is dealt to thread [c mod threads] in
+                 round [c / threads], and its offset-[j] iteration runs
+                 at step [round * chunk + j]: rounds never interleave,
+                 and within a round the order is (offset, chunk). *)
+              let c0 = q0 / chunk and c1 = q1 / chunk in
+              for round = c0 / threads to c1 / threads do
+                let rt = round * threads in
+                let ca = max c0 rt and cb = min c1 (rt + threads - 1) in
+                (* offsets [ja, chunk) of chunk [ca] and [0, jb] of [cb]
+                   lie in the window; chunks between them lie wholly in *)
+                let ja = if ca = c0 then q0 - (ca * chunk) else 0
+                and jb = if cb = c1 then q1 - (cb * chunk) else chunk - 1 in
+                if ca = cb then
+                  for j = ja to jb do
+                    at round ca j
+                  done
+                else if cb = ca + 1 then begin
+                  (* two partial chunks: merge by offset, [ca] first *)
+                  let i = ref ja and k = ref 0 in
+                  while !i < chunk || !k <= jb do
+                    if !i < chunk && (!k > jb || !i <= !k) then begin
+                      at round ca !i;
+                      incr i
+                    end
+                    else begin
+                      at round cb !k;
+                      incr k
+                    end
+                  done
                 end
+                else
+                  (* whole chunks in between bound the sweep's waste *)
+                  for j = 0 to chunk - 1 do
+                    if j >= ja then at round ca j;
+                    for c = ca + 1 to cb - 1 do
+                      at round c j
+                    done;
+                    if j <= jb then at round cb j
+                  done
               done;
-              match !evs with
-              | [] -> ()
-              | evs ->
-                  let arr = Array.of_list (List.rev evs) in
-                  Array.sort
-                    (fun (k1, t1, _) (k2, t2, _) ->
-                      if k1 <> k2 then compare k1 k2 else compare t1 t2)
-                    arr;
-                  f line arr
+              if ev.n > 0 then f line ev
             end
           done
         end
       in
+      (* end of the run of events sharing [ev.kpar.(i)] *)
+      let group_end (ev : events) i =
+        let j = ref (i + 1) in
+        while !j < ev.n && ev.kpar.(!j) = ev.kpar.(i) do
+          incr j
+        done;
+        !j
+      in
       (* ---- exact counting with per-line state carried across regions ---- *)
       let global_fs (sel : region array) =
         let tbl : (int, lstate) Hashtbl.t = Hashtbl.create 1024 in
-        let starts = Array.make (Array.length sel) 0 in
+        let nsel = Array.length sel in
+        let starts = Array.make nsel 0 in
+        (* residency certificates already issued, see [certify] *)
+        let memo_for = Array.make nsel (-1) and memo_gap = Array.make nsel 0 in
         let fs = ref 0 in
         let base_step = ref 0 in
         Array.iteri
@@ -456,99 +538,107 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
               while !i > 0 && starts.(!i) > step do decr i done;
               !i
             in
-            (* the holder last touched the line at global step [lt]; its
-               residency through [step_end] must be certain *)
+            (* The holder last touched the line at global step [lt]; its
+               residency through [step_end] must be certain: the lines
+               inserted over the gap [w], at most [need w] = the sum of
+               [bound] over regions [region_of lt .. ri], must stay below
+               the capacity.  For a fixed first region [need] never
+               decreases as [w] grows: [min w rsteps] does not, and
+               neither does any term of [bound] ([by_steps], [linespan],
+               and each stride group's span through [dk = w/rip + 1],
+               strides being non-negative).  So, while counting region
+               [ri], a gap no wider than one already certified from the
+               same first region passes without summing.  Only passing
+               gaps are recorded, so the first failing gap is still
+               summed and bails with the same message. *)
             let certify lt step_end =
               let w = step_end - lt in
               let lo_r = region_of lt in
-              let need = ref 0 in
-              for i = lo_r to ri do
-                need := !need + bound sel.(i) (min w sel.(i).rsteps)
-              done;
-              if !need > capacity - 1 then
-                bail "line residency across a %d-step gap is uncertain" w
+              if memo_for.(lo_r) <> ri || w > memo_gap.(lo_r) then begin
+                let need = ref 0 in
+                for i = lo_r to ri do
+                  need := !need + bound sel.(i) (min w sel.(i).rsteps)
+                done;
+                if !need > capacity - 1 then
+                  bail "line residency across a %d-step gap is uncertain" w;
+                memo_for.(lo_r) <- ri;
+                memo_gap.(lo_r) <- w
+              end
+            in
+            (* Every thread [h] whose sticky written bit we rely on —
+               holders counted now, and the toucher's own chain — must
+               certainly still be resident; [gmask] threads touch the line
+               at every step of the current group.  The check depends on
+               the group alone, so it runs once per holder and group:
+               [checked] holds the holders done, and is returned updated. *)
+            let check st gmask step_end checked h =
+              if checked land (1 lsl h) <> 0 then checked
+              else begin
+                if gmask land (1 lsl h) <> 0 then
+                  certify (step_end - 1) step_end
+                else begin
+                  let lt = st.last.(h) in
+                  if lt < 0 then bail "internal: holder without a prior touch";
+                  certify lt step_end
+                end;
+                checked lor (1 lsl h)
+              end
+            in
+            let count_line line (ev : events) =
+              let st =
+                match Hashtbl.find tbl line with
+                | s -> s
+                | exception Not_found ->
+                    incr lines_seen;
+                    let s = { writers = 0; last = Array.make threads (-1) } in
+                    Hashtbl.add tbl line s;
+                    s
+              in
+              let i = ref 0 in
+              while !i < ev.n do
+                let j = group_end ev !i in
+                let step_end = !base_step + (ev.kpar.(!i) * r.rip) + r.rip - 1 in
+                let gmask = ref 0 in
+                for e = !i to j - 1 do
+                  gmask := !gmask lor (1 lsl ev.tid.(e))
+                done;
+                let gmask = !gmask in
+                tick (j - !i);
+                let checked = ref 0 in
+                let s0 = ref 0 in
+                for e = !i to j - 1 do
+                  let t = ev.tid.(e) in
+                  let bit = 1 lsl t in
+                  if st.writers land bit <> 0 then
+                    checked := check st gmask step_end !checked t;
+                  let others = st.writers land lnot bit in
+                  if others <> 0 then begin
+                    for h = 0 to threads - 1 do
+                      if others land (1 lsl h) <> 0 then
+                        checked := check st gmask step_end !checked h
+                    done;
+                    s0 := !s0 + popcount others
+                  end;
+                  if ev.wr.(e) then st.writers <- st.writers lor bit
+                done;
+                (* inner steps 2..ip repeat the group against the settled
+                   mask *)
+                if r.rip > 1 then begin
+                  let s1 = ref 0 in
+                  for e = !i to j - 1 do
+                    s1 := !s1 + popcount (st.writers land lnot (1 lsl ev.tid.(e)))
+                  done;
+                  fs := !fs + !s0 + ((r.rip - 1) * !s1)
+                end
+                else fs := !fs + !s0;
+                for e = !i to j - 1 do
+                  st.last.(ev.tid.(e)) <- step_end
+                done;
+                i := j
+              done
             in
             List.iter
-              (fun b ->
-                if b.bwritten then
-                  iter_lines r b (fun line events ->
-                    let st =
-                      match Hashtbl.find_opt tbl line with
-                      | Some s -> s
-                      | None ->
-                          incr lines_seen;
-                          let s =
-                            { writers = 0; last = Array.make threads (-1) }
-                          in
-                          Hashtbl.add tbl line s;
-                          s
-                    in
-                    let nev = Array.length events in
-                    let i = ref 0 in
-                    while !i < nev do
-                      let kpar, _, _ = events.(!i) in
-                      let j = ref !i in
-                      while
-                        !j < nev
-                        && (let k, _, _ = events.(!j) in
-                            k = kpar)
-                      do
-                        incr j
-                      done;
-                      let step_end =
-                        !base_step + (kpar * r.rip) + r.rip - 1
-                      in
-                      let gmask = ref 0 in
-                      for e = !i to !j - 1 do
-                        let _, t, _ = events.(e) in
-                        gmask := !gmask lor (1 lsl t)
-                      done;
-                      tick (!j - !i);
-                      let s0 = ref 0 in
-                      for e = !i to !j - 1 do
-                        let _, t, w = events.(e) in
-                        let bit = 1 lsl t in
-                        (* every thread whose sticky written bit we rely
-                           on — holders counted now, and the toucher's own
-                           chain — must certainly still be resident *)
-                        let check h =
-                          if !gmask land (1 lsl h) <> 0 then
-                            (* touched at every step of this group *)
-                            certify (step_end - 1) step_end
-                          else begin
-                            let lt = st.last.(h) in
-                            if lt < 0 then
-                              bail "internal: holder without a prior touch";
-                            certify lt step_end
-                          end
-                        in
-                        if st.writers land bit <> 0 then check t;
-                        let others = st.writers land lnot bit in
-                        if others <> 0 then begin
-                          for h = 0 to threads - 1 do
-                            if others land (1 lsl h) <> 0 then check h
-                          done;
-                          s0 := !s0 + popcount others
-                        end;
-                        if w then st.writers <- st.writers lor bit
-                      done;
-                      (* inner steps 2..ip repeat the group against the
-                         settled mask *)
-                      if r.rip > 1 then begin
-                        let s1 = ref 0 in
-                        for e = !i to !j - 1 do
-                          let _, t, _ = events.(e) in
-                          s1 := !s1 + popcount (st.writers land lnot (1 lsl t))
-                        done;
-                        fs := !fs + !s0 + ((r.rip - 1) * !s1)
-                      end
-                      else fs := !fs + !s0;
-                      for e = !i to !j - 1 do
-                        let _, t, _ = events.(e) in
-                        st.last.(t) <- step_end
-                      done;
-                      i := !j
-                    done))
+              (fun b -> if b.bwritten then iter_lines r b count_line)
               r.rbases;
             base_step := !base_step + r.rsteps)
           sel;
@@ -557,65 +647,56 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
       (* ---- hold regime: nothing is ever evicted ---- *)
       let hold_fs (r : region) rc =
         let fs = ref 0 in
+        let count_line _line (ev : events) =
+          incr lines_seen;
+          let writers = ref 0 in
+          let first = ref 0 in
+          let i = ref 0 in
+          while !i < ev.n do
+            let j = group_end ev !i in
+            let s0 = ref 0 in
+            for e = !i to j - 1 do
+              let bit = 1 lsl ev.tid.(e) in
+              s0 := !s0 + popcount (!writers land lnot bit);
+              if ev.wr.(e) then writers := !writers lor bit
+            done;
+            if r.rip > 1 then begin
+              let s1 = ref 0 in
+              for e = !i to j - 1 do
+                s1 := !s1 + popcount (!writers land lnot (1 lsl ev.tid.(e)))
+              done;
+              first := !first + !s0 + ((r.rip - 1) * !s1)
+            end
+            else first := !first + !s0;
+            i := j
+          done;
+          (* steady-state regions: the writer set is complete from region
+             one and never decays *)
+          let steady = ref 0 in
+          for e = 0 to ev.n - 1 do
+            steady := !steady + popcount (!writers land lnot (1 lsl ev.tid.(e)))
+          done;
+          fs := !fs + !first + ((rc - 1) * r.rip * !steady)
+        in
         List.iter
-          (fun b ->
-            if b.bwritten then
-              iter_lines r b (fun _line events ->
-                incr lines_seen;
-                let writers = ref 0 in
-                let first = ref 0 in
-                let nev = Array.length events in
-                let i = ref 0 in
-                while !i < nev do
-                  let kpar, _, _ = events.(!i) in
-                  let j = ref !i in
-                  while
-                    !j < nev
-                    && (let k, _, _ = events.(!j) in
-                        k = kpar)
-                  do
-                    incr j
-                  done;
-                  let s0 = ref 0 in
-                  for e = !i to !j - 1 do
-                    let _, t, w = events.(e) in
-                    s0 := !s0 + popcount (!writers land lnot (1 lsl t));
-                    if w then writers := !writers lor (1 lsl t)
-                  done;
-                  if r.rip > 1 then begin
-                    let s1 = ref 0 in
-                    for e = !i to !j - 1 do
-                      let _, t, _ = events.(e) in
-                      s1 := !s1 + popcount (!writers land lnot (1 lsl t))
-                    done;
-                    first := !first + !s0 + ((r.rip - 1) * !s1)
-                  end
-                  else first := !first + !s0;
-                  i := !j
-                done;
-                (* steady-state regions: the writer set is complete from
-                   region one and never decays *)
-                let steady = ref 0 in
-                Array.iter
-                  (fun (_, t, _) ->
-                    steady := !steady + popcount (!writers land lnot (1 lsl t)))
-                  events;
-                fs := !fs + !first + ((rc - 1) * r.rip * !steady)))
+          (fun b -> if b.bwritten then iter_lines r b count_line)
           r.rbases;
         !fs
       in
       (* ---- per-thread distinct-line footprint of one region ---- *)
       let footprint (r : region) =
         let dj = Array.make threads 0 in
+        let count_line _line (ev : events) =
+          let m = ref 0 in
+          for e = 0 to ev.n - 1 do
+            m := !m lor (1 lsl ev.tid.(e))
+          done;
+          for t = 0 to threads - 1 do
+            if !m land (1 lsl t) <> 0 then dj.(t) <- dj.(t) + 1
+          done
+        in
         List.iter
-          (fun b ->
-            if b.countable then
-              iter_lines r b (fun _line events ->
-                let m = ref 0 in
-                Array.iter (fun (_, t, _) -> m := !m lor (1 lsl t)) events;
-                for t = 0 to threads - 1 do
-                  if !m land (1 lsl t) <> 0 then dj.(t) <- dj.(t) + 1
-                done))
+          (fun b -> if b.countable then iter_lines r b count_line)
           r.rbases;
         dj
       in

@@ -43,6 +43,19 @@ val estimate :
   nest:Loopir.Loop_nest.t ->
   checked:Minic.Typecheck.checked ->
   result
+(** Cost: one pass over the cache lines of the written bases, linear in
+    the events on those lines (a line's events are emitted in lockstep
+    order directly, with no sort and no allocation per event), under a
+    work budget that makes it [Inapplicable] ("analysis budget exceeded")
+    rather than slow.  The in-window residency certificates are memoized
+    exactly: the inserted-lines bound is monotone in the gap, so a gap no
+    wider than one already certified passes without re-summing. *)
+
+val estimate_count : unit -> int
+(** Number of {!estimate} invocations so far in this process, from every
+    domain (atomic, like {!Fsmodel.Model.run_count}).  Tests snapshot it
+    to check that a request evaluates the closed form once per
+    (configuration, nest). *)
 
 (** {1 Parametric certificates}
 

@@ -179,9 +179,10 @@ let unknown_findings ~func pairs =
 (* Quantify a nest's false sharing: certified closed form when it
    applies, the exact engine otherwise — except under [--cost-model
    analytic], which promises zero engine evaluations and reports the
-   certificate gap instead of falling back. *)
-let fs_count ~cost_model cfg ~nest ~checked =
-  match Closed_form.estimate cfg ~nest ~checked with
+   certificate gap instead of falling back.  [closed] is the nest's
+   closed-form estimate under [cfg], shared with [cost_of]. *)
+let fs_count ~cost_model cfg ~nest ~checked closed =
+  match Lazy.force closed with
   | Closed_form.Exact info -> (info.Closed_form.fs_cases, "closed form")
   | Closed_form.Inapplicable reason when cost_model = `Analytic ->
       ( -1,
@@ -193,13 +194,15 @@ let fs_count ~cost_model cfg ~nest ~checked =
       ((Fsmodel.Model.run cfg ~nest ~checked).Fsmodel.Model.fs_cases, "engine")
 
 (* The analytic Eq. 1 context attached to findings under [--cost-model
-   analytic|both]; [None] when the nest's parameters are incomplete. *)
-let cost_of ~opts ~checked nest =
+   analytic|both]; [None] when the nest's parameters are incomplete.  An
+   estimate that raised would raise inside [Reuse.analyze] too. *)
+let cost_of ~opts ~checked ~closed nest =
   match opts.cost_model with
   | `Sim -> None
   | `Analytic | `Both -> (
       match
-        Reuse.analyze ~arch:opts.arch ?chunk:opts.chunk ~threads:opts.threads
+        Reuse.analyze ~arch:opts.arch ?chunk:opts.chunk
+          ~closed:(Lazy.force closed) ~threads:opts.threads
           ~params:(all_params opts) ~checked nest
       with
       | a ->
@@ -384,10 +387,12 @@ let fs_findings ~opts ~checked ~func ~advice ~fixv ~races conflicts cfg nest =
           let hot = d.Dist.max_fs > 0 in
           (hot, hot, quant, attrib, None, Some name, Some d)
       | None ->
+          (* one closed-form evaluation serves the count and the cost *)
+          let closed = lazy (Closed_form.estimate cfg ~nest ~checked) in
           (* a nest rescued by the exact backend (unbound identifiers
              treated as free parameters) has no concrete count to run *)
           let fs, how =
-            try fs_count ~cost_model:opts.cost_model cfg ~nest ~checked
+            try fs_count ~cost_model:opts.cost_model cfg ~nest ~checked closed
             with _ -> (-1, "the nest references identifiers not bound by -p")
           in
           (* the analytic path never touches the engine, so no
@@ -397,7 +402,7 @@ let fs_findings ~opts ~checked ~func ~advice ~fixv ~races conflicts cfg nest =
               attribution_pairs ~checked cfg nest
             else None
           in
-          let cost = cost_of ~opts ~checked nest in
+          let cost = cost_of ~opts ~checked ~closed nest in
           let quant =
             if fs > 0 then
               Printf.sprintf

@@ -379,17 +379,28 @@ let with_chunk (nest : Loopir.Loop_nest.t) = function
 
 let analyze ?(arch = Archspec.Arch.paper_machine)
     ?(fs_cost_factor = Costmodel.Total_cost.default_fs_cost_factor)
-    ?(contention = false) ?chunk ~threads ~params ~checked
+    ?(contention = false) ?chunk ?closed ~threads ~params ~checked
     (nest : Loopir.Loop_nest.t) =
   let env v = List.assoc_opt v params in
+  (* The override only rewrites the pragma's schedule, which the closed
+     form reads for its kind (and, absent a config chunk, its chunk): an
+     estimate of [nest] itself holds for the overridden nest unless the
+     override turns a dynamic or guided pragma static. *)
+  let shared = chunk = None || Loopir.Loop_nest.schedule_kind nest = `Static in
   let nest = with_chunk nest chunk in
   let prediction = predict ~arch ~threads ~env nest in
-  let cfg =
-    { (Fsmodel.Model.default_config ~arch ~threads ()) with
-      Fsmodel.Model.chunk; params }
+  let closed =
+    match closed with
+    | Some r when shared -> r
+    | _ ->
+        let cfg =
+          { (Fsmodel.Model.default_config ~arch ~threads ()) with
+            Fsmodel.Model.chunk; params }
+        in
+        Closed_form.estimate cfg ~nest ~checked
   in
   let fs_cases, fs_note =
-    match Closed_form.estimate cfg ~nest ~checked with
+    match closed with
     | Closed_form.Exact i ->
         (Some i.Closed_form.fs_cases, "closed form, " ^ i.Closed_form.regime)
     | Closed_form.Inapplicable reason -> (None, reason)
@@ -418,36 +429,64 @@ type overhead = {
   analytic : analytic;
 }
 
+(* [overhead] on a lowered nest, also returning [fs_chunk]'s closed-form
+   result.  Each chunking is estimated once: [fs_chunk]'s estimate feeds
+   its breakdown, and [nfs_chunk] is skipped when [fs_chunk] has none. *)
+let overhead_of ~arch ~fs_cost_factor ~contention ~threads ~fs_chunk
+    ~nfs_chunk ~checked nest =
+  let params = [ ("num_threads", threads) ] in
+  let base = Fsmodel.Model.default_config ~arch ~threads () in
+  let at chunk =
+    Closed_form.estimate { base with Fsmodel.Model.chunk = Some chunk } ~nest
+      ~checked
+  in
+  let closed = at fs_chunk in
+  match closed with
+  | Closed_form.Inapplicable _ -> (None, closed)
+  | Closed_form.Exact f -> (
+      match at nfs_chunk with
+      | Closed_form.Inapplicable _ -> (None, closed)
+      | Closed_form.Exact n ->
+          let n_fs = f.Closed_form.fs_cases and n_nfs = n.Closed_form.fs_cases in
+          let analytic =
+            analyze ~arch ~fs_cost_factor ~contention ~chunk:fs_chunk ~closed
+              ~threads ~params ~checked nest
+          in
+          let excess =
+            float_of_int (max 0 (n_fs - n_nfs))
+            *. float_of_int arch.Archspec.Arch.coherence_latency
+            *. fs_cost_factor /. float_of_int threads
+          in
+          let total = analytic.breakdown.Costmodel.Total_cost.total_cycles in
+          let percent = if total <= 0. then 0. else 100. *. excess /. total in
+          ( Some { threads; fs_chunk; nfs_chunk; n_fs; n_nfs; percent; analytic },
+            closed ))
+
 let overhead ?(arch = Archspec.Arch.paper_machine)
     ?(fs_cost_factor = Costmodel.Total_cost.default_fs_cost_factor)
     ?(contention = false) ~threads ~fs_chunk ~nfs_chunk ~func checked =
-  let params = [ ("num_threads", threads) ] in
-  let nest = Loopir.Lower.lower checked ~func ~params in
-  let base = Fsmodel.Model.default_config ~arch ~threads () in
-  let count chunk =
-    match
-      Closed_form.estimate
-        { base with Fsmodel.Model.chunk = Some chunk }
-        ~nest ~checked
-    with
-    | Closed_form.Exact i -> Some i.Closed_form.fs_cases
-    | Closed_form.Inapplicable _ -> None
+  let nest =
+    Loopir.Lower.lower checked ~func ~params:[ ("num_threads", threads) ]
   in
-  match (count fs_chunk, count nfs_chunk) with
-  | Some n_fs, Some n_nfs ->
-      let analytic =
-        analyze ~arch ~fs_cost_factor ~contention ~chunk:fs_chunk ~threads
-          ~params ~checked nest
-      in
-      let excess =
-        float_of_int (max 0 (n_fs - n_nfs))
-        *. float_of_int arch.Archspec.Arch.coherence_latency
-        *. fs_cost_factor /. float_of_int threads
-      in
-      let total = analytic.breakdown.Costmodel.Total_cost.total_cycles in
-      let percent = if total <= 0. then 0. else 100. *. excess /. total in
-      Some { threads; fs_chunk; nfs_chunk; n_fs; n_nfs; percent; analytic }
-  | _ -> None
+  fst
+    (overhead_of ~arch ~fs_cost_factor ~contention ~threads ~fs_chunk
+       ~nfs_chunk ~checked nest)
+
+let overhead_or_analyze ?(arch = Archspec.Arch.paper_machine)
+    ?(fs_cost_factor = Costmodel.Total_cost.default_fs_cost_factor)
+    ?(contention = false) ~threads ~fs_chunk ~nfs_chunk ~checked nest =
+  let alone ?closed () =
+    analyze ~arch ~fs_cost_factor ~contention ~chunk:fs_chunk ?closed ~threads
+      ~params:[ ("num_threads", threads) ]
+      ~checked nest
+  in
+  match
+    overhead_of ~arch ~fs_cost_factor ~contention ~threads ~fs_chunk
+      ~nfs_chunk ~checked nest
+  with
+  | Some o, _ -> (Some o, o.analytic)
+  | None, closed -> (None, alone ~closed ())
+  | exception _ -> (None, alone ())
 
 let pp_bin ppf b =
   Format.fprintf ppf "%s d=%s n=%.0f -> %s" b.label

@@ -91,6 +91,7 @@ val analyze :
   ?fs_cost_factor:float ->
   ?contention:bool ->
   ?chunk:int ->
+  ?closed:Closed_form.result ->
   threads:int ->
   params:(string * int) list ->
   checked:Minic.Typecheck.checked ->
@@ -99,7 +100,15 @@ val analyze :
 (** The full analytic [Total_c]: reuse-distance cache term, closed-form FS
     term, {!Costmodel} machine/TLB/overhead terms.  Calls neither
     {!Fsmodel.Model.run} nor any simulator ({!Fsmodel.Model.run_count} is
-    unchanged across it — tests enforce this). *)
+    unchanged across it — tests enforce this).
+
+    [closed] is the caller's {!Closed_form.estimate} of the nest as passed,
+    under [Model.default_config ~arch ~threads] with [chunk] and [params]
+    — the count a linter already holds — so the closed form is evaluated
+    once per (configuration, nest).  It is used whenever the [chunk]
+    override cannot change the estimate, that is unless the override turns
+    a dynamic or guided pragma static; the result is the same as without
+    it. *)
 
 type overhead = {
   threads : int;
@@ -121,9 +130,26 @@ val overhead :
   func:string ->
   Minic.Typecheck.checked ->
   overhead option
-(** Analytic analogue of {!Fsmodel.Overhead_percent.analyze}: [None] when
-    {!Closed_form} certifies neither chunking (the engine-backed path is
-    then the only option). *)
+(** Analytic analogue of {!Fsmodel.Overhead_percent.analyze}: [None]
+    unless {!Closed_form} certifies both chunkings (the engine-backed path
+    is then the only option).  Each chunking is estimated once, and
+    [nfs_chunk] not at all when [fs_chunk] has no certificate. *)
+
+val overhead_or_analyze :
+  ?arch:Archspec.Arch.t ->
+  ?fs_cost_factor:float ->
+  ?contention:bool ->
+  threads:int ->
+  fs_chunk:int ->
+  nfs_chunk:int ->
+  checked:Minic.Typecheck.checked ->
+  Loopir.Loop_nest.t ->
+  overhead option * analytic
+(** The analytic report of [fsdetect analyze] on the nest {!overhead}
+    lowers ([num_threads] bound to [threads]): {!overhead} and its
+    breakdown when both chunkings certify, otherwise [None] and {!analyze}
+    at [fs_chunk].  [fs_chunk]'s closed form is evaluated once either
+    way, where {!overhead} followed by {!analyze} evaluates it twice. *)
 
 val pp_bin : Format.formatter -> bin -> unit
 val pp_prediction : Format.formatter -> prediction -> unit

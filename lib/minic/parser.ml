@@ -233,7 +233,15 @@ let parse_pragma_tokens st =
                 ^ Token.to_string t)
         in
         let chunk =
-          if accept st Token.COMMA then Some (parse_const_int ()) else None
+          if accept st Token.COMMA then begin
+            let c = parse_const_int () in
+            if c < 1 then
+              fail st
+                (Printf.sprintf "schedule chunk size must be at least 1, found %d"
+                   c);
+            Some c
+          end
+          else None
         in
         expect st Token.RPAREN;
         let schedule =
@@ -257,13 +265,15 @@ let parse_pragma_tokens st =
   clauses ();
   !pragma
 
+(* The pragma's text is tokenized on its own, so its errors are moved to
+   the pragma's line. *)
 let parse_pragma macros text line =
   let toks =
     try Lexer.tokenize text
     with Lexer.Error (m, _) -> raise (Error (m, line))
   in
   let st = { toks = Array.of_list toks; pos = 0; macros } in
-  parse_pragma_tokens st
+  try parse_pragma_tokens st with Error (m, _) -> raise (Error (m, line))
 
 (* ------------------------------------------------------------------ *)
 (* Types and declarations                                              *)

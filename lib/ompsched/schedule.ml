@@ -27,15 +27,13 @@ let nth_iter_of_thread t ~tid k =
   match nth_iter_int t ~tid k with -1 -> None | q -> Some q
 
 let count_of_thread t ~tid =
-  (* full chunks owned by [tid] plus the possibly-partial last one *)
-  let rec go k acc =
-    match nth_iter_of_thread t ~tid (k * t.chunk) with
-    | None -> acc
-    | Some q ->
-        let in_chunk = min t.chunk (t.total - q) in
-        go (k + 1) (acc + in_chunk)
-  in
-  go 0 0
+  (* a chunk per complete round of [threads] chunks, then the rest of the
+     loop dealt chunk by chunk from thread 0 *)
+  if tid < 0 || tid >= t.threads then 0
+  else
+    let round = t.threads * t.chunk in
+    let rest = (t.total mod round) - (tid * t.chunk) in
+    (t.total / round * t.chunk) + max 0 (min t.chunk rest)
 
 let iters_of_thread t ~tid =
   let rec go k acc =

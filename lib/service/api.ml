@@ -307,23 +307,8 @@ let run_analyze store ~digest ~text req ~func ~threads ~fs_chunk ~nfs_chunk
           ~threads ~fs_chunk ~nfs_chunk ~func c
       in
       let analytic () =
-        match
-          Analysis.Reuse.overhead ~arch:req.Req.arch ~contention ~threads
-            ~fs_chunk ~nfs_chunk ~func c
-        with
-        | Some o -> (Some o, o.Analysis.Reuse.analytic)
-        | None ->
-            ( None,
-              Analysis.Reuse.analyze ~arch:req.Req.arch ~contention
-                ~chunk:fs_chunk ~threads
-                ~params:[ ("num_threads", threads) ]
-                ~checked:c nest )
-        | exception _ ->
-            ( None,
-              Analysis.Reuse.analyze ~arch:req.Req.arch ~contention
-                ~chunk:fs_chunk ~threads
-                ~params:[ ("num_threads", threads) ]
-                ~checked:c nest )
+        Analysis.Reuse.overhead_or_analyze ~arch:req.Req.arch ~contention
+          ~threads ~fs_chunk ~nfs_chunk ~checked:c nest
       in
       if json then begin
         let open Analysis.Json in

@@ -268,6 +268,20 @@ let field_int_opt params name =
       | Some i -> Ok (Some i)
       | None -> Error (Printf.sprintf "field %S must be an integer" name))
 
+(* counts (team, chunk and seed-set sizes) are rejected below 1 here,
+   not deep inside the schedule *)
+let below_one name = Error (Printf.sprintf "field %S must be >= 1" name)
+
+let field_pos params name default =
+  match field_int params name default with
+  | Ok n when n < 1 -> below_one name
+  | r -> r
+
+let field_pos_opt params name =
+  match field_int_opt params name with
+  | Ok (Some n) when n < 1 -> below_one name
+  | r -> r
+
 let field_bool params name default =
   match Jsonp.member name params with
   | None -> Ok default
@@ -362,10 +376,6 @@ let decode_sched params =
              (\"schedule\" takes static without one)"
       | Error m -> Error (Printf.sprintf "field \"schedule\": %s" m))
 
-let decode_seeds params =
-  let* seeds = field_int params "seeds" 8 in
-  if seeds < 1 then Error "field \"seeds\" must be >= 1" else Ok seeds
-
 let decode_exact params =
   let* exact =
     field_enum params "exact" `Auto
@@ -379,13 +389,13 @@ let decode_exact params =
 let of_json ~meth params =
   let* source = decode_source params in
   let* arch = decode_arch params in
-  let* threads = field_int params "threads" 8 in
+  let* threads = field_pos params "threads" 8 in
   let* kind =
     match meth with
     | "analyze" ->
         let* func = field_str_opt params "func" in
-        let* fs_chunk = field_int_opt params "fs_chunk" in
-        let* nfs_chunk = field_int_opt params "nfs_chunk" in
+        let* fs_chunk = field_pos_opt params "fs_chunk" in
+        let* nfs_chunk = field_pos_opt params "nfs_chunk" in
         let* predict = field_int_opt params "predict" in
         let* contention = field_bool params "contention" false in
         let* exact, exact_budget = decode_exact params in
@@ -406,7 +416,7 @@ let of_json ~meth params =
                json;
              })
     | "lint" ->
-        let* chunk = field_int_opt params "chunk" in
+        let* chunk = field_pos_opt params "chunk" in
         let* json = field_bool params "json" false in
         let* fixits = field_bool params "fixits" true in
         let* bindings = field_params params "params" in
@@ -417,7 +427,7 @@ let of_json ~meth params =
         let* exact, exact_budget = decode_exact params in
         let* cost_model = decode_cost_model params in
         let* sched = decode_sched params in
-        let* seeds = decode_seeds params in
+        let* seeds = field_pos params "seeds" 8 in
         Ok
           (Lint
              {
@@ -435,7 +445,7 @@ let of_json ~meth params =
              })
     | "explain" ->
         let* func = field_str_opt params "func" in
-        let* chunk = field_int_opt params "chunk" in
+        let* chunk = field_pos_opt params "chunk" in
         let* bindings = field_params params "params" in
         let* engine =
           field_enum params "engine" `Fast
@@ -448,7 +458,7 @@ let of_json ~meth params =
         let* top = field_int params "top" 3 in
         let* trace_cap = field_int_opt params "trace_cap" in
         let* sched = decode_sched params in
-        let* seeds = decode_seeds params in
+        let* seeds = field_pos params "seeds" 8 in
         Ok
           (Explain
              {

@@ -46,19 +46,29 @@ let run ?jobs ?capacity ?(ic = stdin) ?(oc = stdout) () =
     | Some _ -> Error "\"method\" must be a string"
     | None -> Error "missing \"method\""
   in
+  (* An analysis that raises still answers its id, with an internal
+     error, so no client waits on it forever. *)
+  let exec = function
+    | Error e -> Error (-32602, e)
+    | Ok req -> (
+        match Api.exec store req with
+        | p -> Ok p
+        | exception e ->
+            Error (-32603, "internal error: " ^ Printexc.to_string e))
+  in
   let batch id params () =
     match Jsonp.member "requests" params with
     | Some (J.List reqs) ->
         let on_result i = function
           | Ok p -> respond id [ ("item", J.Int i); ("result", payload_json p) ]
-          | Error e ->
-              respond id [ ("item", J.Int i); ("error", error_obj (-32602) e) ]
+          | Error (code, e) ->
+              respond id [ ("item", J.Int i); ("error", error_obj code e) ]
         in
         (* One shard per domain: requests fan out over [jobs] domains and
            each result line leaves as soon as its nest is analyzed. *)
         ignore
           (Fsmodel.Par_sweep.map_stream ~domains:jobs ~on_result
-             (fun r -> Result.map (Api.exec store) (decode_call r))
+             (fun r -> exec (decode_call r))
              reqs);
         respond id [ ("done", J.Bool true); ("items", J.Int (List.length reqs)) ]
     | Some _ -> error id (-32602) "\"requests\" must be a list"
@@ -141,11 +151,9 @@ let run ?jobs ?capacity ?(ic = stdin) ?(oc = stdout) () =
                 | "batch" -> Pool.submit pool (batch id params)
                 | m when List.mem m analysis_methods ->
                     Pool.submit pool (fun () ->
-                        match Req.of_json ~meth:m params with
-                        | Error e -> error id (-32602) e
-                        | Ok req ->
-                            respond id
-                              [ ("result", payload_json (Api.exec store req)) ])
+                        match exec (Req.of_json ~meth:m params) with
+                        | Ok p -> respond id [ ("result", payload_json p) ]
+                        | Error (code, e) -> error id code e)
                 | m ->
                     Pool.submit pool (fun () ->
                         error id (-32601) (Printf.sprintf "unknown method %S" m))

@@ -38,6 +38,15 @@ let scenarios =
      "lint --no-fixits --schedule static,4 --chunk 2 fixtures/struct_adjacent.c");
     (With_stderr,
      "explain --schedule work-stealing,nope fixtures/struct_adjacent.c");
+    (* team and chunk sizes below 1: rejected by the option parser, and
+       by the pragma parser at the pragma's line *)
+    (Code_only, "lint --no-fixits -k heat --chunk 0");
+    (Code_only, "explain -k heat --chunk 0");
+    (Code_only, "explain -k heat -t 0");
+    (Code_only, "analyze -k heat --fs-chunk 0");
+    (Code_only, "analyze -k heat --nfs-chunk 0");
+    (Code_only, "analyze -k heat -t 0");
+    (With_stderr, "lint --no-fixits fixtures/zero_chunk.c");
     (* eliminate/fix on a nest with nothing to fix: explicit notice on
        stderr, exit 0 (the bugfix pinned here: an empty plan is not
        silence) *)

@@ -111,6 +111,21 @@ let transcript exe buf =
   req (request (int_id 15) "batch" []);
   (* deterministic counters after a deterministic script *)
   req (request (int_id 16) "cache_stats" []);
+  (* an analysis that raises (a loop bound divides by zero) is answered
+     with an internal error, and a chunk below 1 is a bad parameter *)
+  req
+    (request (int_id 18) "explain"
+       [
+         ( "source",
+           J.Str
+             "double a[64];\nint k;\n\nvoid f() {\n  #pragma omp parallel \
+              for\n  for (int i = 0; i < 64 / k; i++) {\n    a[i] = 1.0;\n  \
+              }\n}\n" );
+         ("params", obj [ ("k", J.Int 0) ]);
+       ]);
+  req
+    (request (int_id 19) "lint"
+       [ ("kernel", J.Str "saxpy"); ("chunk", J.Int 0) ]);
   req (request (int_id 17) "shutdown" []);
   (try
      while true do

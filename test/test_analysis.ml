@@ -125,19 +125,41 @@ let test_unbounded_stack_is_hold () =
   in
   assert_exact ~what:"dft unbounded" cfg ~nest ~checked
 
-(* a tiny stack makes holder residency uncertain: the estimator must
-   refuse rather than guess *)
-let test_tiny_stack_falls_back () =
-  let kernel = Kernels.Saxpy.kernel ~n:768 () in
+(* An uncertain certificate makes the estimator refuse rather than
+   guess, and say why: the reason reaches users through [fs_note] and the
+   lint text, so it is pinned verbatim. *)
+let assert_falls_back ~what ~reason ?chunk ~stack kernel ~threads =
   let checked = Kernels.Kernel.parse kernel in
-  let nest = lower ~threads:8 checked ~func:"saxpy" in
+  let nest = lower ~threads checked ~func:kernel.Kernels.Kernel.func in
   let cfg =
-    { (Model.default_config ~threads:8 ()) with Model.stack = Model.Lines 4 }
+    { (Model.default_config ~threads ()) with Model.stack; chunk }
   in
   match Analysis.Closed_form.estimate cfg ~nest ~checked with
-  | Analysis.Closed_form.Inapplicable _ -> ()
-  | Analysis.Closed_form.Exact _ ->
-      Alcotest.fail "4-line stack: expected fallback"
+  | Analysis.Closed_form.Inapplicable r -> check Alcotest.string what reason r
+  | Analysis.Closed_form.Exact _ -> Alcotest.failf "%s: expected fallback" what
+
+(* a tiny stack makes holder residency uncertain at the first gap; a
+   64-line stack fails only at a gap wider than those certified before *)
+let test_tiny_stack_falls_back () =
+  assert_falls_back ~what:"saxpy, 4-line stack"
+    ~reason:"line residency across a 1-step gap is uncertain"
+    ~stack:(Model.Lines 4)
+    (Kernels.Saxpy.kernel ~n:768 ())
+    ~threads:8;
+  assert_falls_back ~what:"heat chunk 16, 64-line stack"
+    ~reason:"line residency across a 9-step gap is uncertain" ~chunk:16
+    ~stack:(Model.Lines 64) (Kernels.Heat.kernel ()) ~threads:8
+
+(* identical regions whose per-thread footprints lie on both sides of
+   the stack capacity: neither the reset nor the hold certificate *)
+let test_straddle_falls_back () =
+  assert_falls_back ~what:"stencil n=258, 64-line stack"
+    ~reason:
+      "cross-region cache residency is uncertain (per-thread footprint \
+       straddles the stack capacity)"
+    ~stack:(Model.Lines 64)
+    (Kernels.Stencil1d.kernel ~n:258 ~steps:4 ())
+    ~threads:8
 
 let test_invalidate_ablation_falls_back () =
   let kernel = Kernels.Saxpy.kernel ~n:768 () in
@@ -164,6 +186,7 @@ type gen_nest = {
   chunk : int;
   threads : int;
   stmt : int;  (** statement variant *)
+  stack : int option;  (** stack capacity in lines; [None] = the L1 *)
 }
 
 let source_of g =
@@ -195,21 +218,34 @@ let source_of g =
   Printf.sprintf
     "double a[128];\ndouble b[128];\ndouble c[256];\nvoid f(void) {\n%s }" nest
 
+(* the L1 stack never evicts on these tiny nests, so small stacks are
+   drawn as well: they exercise the residency certificates, which must
+   refuse whenever an eviction could change the count *)
 let gen_nest_gen =
   QCheck2.Gen.(
     map
-      (fun ((n, m, outer), (chunk, threads, stmt)) ->
-        { n; m; outer; chunk; threads; stmt })
-      (tup2
+      (fun ((n, m, outer), (chunk, threads, stmt), stack) ->
+        { n; m; outer; chunk; threads; stmt; stack })
+      (tup3
          (tup3 (int_range 1 24) (int_range 0 5) (int_range 0 4))
-         (tup3 (int_range 1 4) (int_range 1 9) (int_range 0 5))))
+         (tup3 (int_range 1 4) (int_range 1 9) (int_range 0 5))
+         (opt (int_range 2 16))))
+
+let print_nest g =
+  Printf.sprintf "%s\n(stack %s)" (source_of g)
+    (match g.stack with Some c -> string_of_int c ^ " lines" | None -> "L1")
 
 let prop_estimator_oracle =
   QCheck2.Test.make ~name:"closed form = engine on random small nests"
-    ~count:150 ~print:source_of gen_nest_gen (fun g ->
+    ~count:300 ~print:print_nest gen_nest_gen (fun g ->
       let checked = parse (source_of g) in
       let nest = lower ~threads:g.threads checked ~func:"f" in
       let cfg = Model.default_config ~threads:g.threads () in
+      let cfg =
+        match g.stack with
+        | Some c -> { cfg with Model.stack = Model.Lines c }
+        | None -> cfg
+      in
       match Analysis.Closed_form.estimate cfg ~nest ~checked with
       | Analysis.Closed_form.Inapplicable _ -> true
       | Analysis.Closed_form.Exact { fs_cases; _ } ->
@@ -223,7 +259,9 @@ let test_estimator_applicability_floor () =
     (fun stmt ->
       List.iter
         (fun threads ->
-          let g = { n = 16; m = 2; outer = 2; chunk = 1; threads; stmt } in
+          let g =
+            { n = 16; m = 2; outer = 2; chunk = 1; threads; stmt; stack = None }
+          in
           let checked = parse (source_of g) in
           let nest = lower ~threads checked ~func:"f" in
           let cfg = Model.default_config ~threads () in
@@ -834,6 +872,8 @@ let () =
             test_unbounded_stack_is_hold;
           Alcotest.test_case "tiny stack falls back" `Quick
             test_tiny_stack_falls_back;
+          Alcotest.test_case "footprint straddle falls back" `Quick
+            test_straddle_falls_back;
           Alcotest.test_case "invalidate ablation falls back" `Quick
             test_invalidate_ablation_falls_back;
           Alcotest.test_case "applicability floor" `Quick

@@ -242,6 +242,13 @@ let test_parser_pragma_errors () =
   (match Parser.parse_pragma [] "acc kernels" 1 with
   | exception Parser.Error _ -> ()
   | _ -> fail "non-omp pragma must be rejected");
+  (* a chunk size below 1 is an error at the pragma's line *)
+  List.iter
+    (fun clause ->
+      match Parser.parse_pragma [] ("omp parallel for " ^ clause) 7 with
+      | exception Parser.Error (_, 7) -> ()
+      | _ -> fail (clause ^ " must be rejected at line 7"))
+    [ "schedule(static, 0)"; "schedule(dynamic, 2 - 3)"; "schedule(guided, 0)" ];
   match
     Parser.parse_program "int a[4];\nvoid f(void) {\n#pragma omp parallel for\n a[0] = 1; }"
   with

@@ -111,6 +111,15 @@ let prop_counts_sum =
         (List.init s.Schedule.threads (fun t -> t))
       = s.Schedule.total)
 
+let prop_count_matches_list =
+  QCheck2.Test.make ~name:"count_of_thread counts iters_of_thread" ~count:200
+    sched_gen (fun s ->
+      List.for_all
+        (fun tid ->
+          Schedule.count_of_thread s ~tid
+          = List.length (Schedule.iters_of_thread s ~tid))
+        (List.init (s.Schedule.threads + 2) (fun t -> t - 1)))
+
 let prop_nth_matches_list =
   QCheck2.Test.make ~name:"nth_iter_of_thread enumerates iters_of_thread"
     ~count:200 sched_gen (fun s ->
@@ -288,6 +297,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_partition;
           QCheck_alcotest.to_alcotest prop_owner_consistent;
           QCheck_alcotest.to_alcotest prop_counts_sum;
+          QCheck_alcotest.to_alcotest prop_count_matches_list;
           QCheck_alcotest.to_alcotest prop_nth_matches_list;
         ] );
       ( "prng",

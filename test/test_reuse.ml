@@ -1,8 +1,9 @@
 (* Tests for the static reuse-distance model: analytic hit/miss
    predictions validated against the execution-driven cache simulator on
    every registry kernel, conservation and Eq. 1 consistency, the
-   zero-simulator guarantee of the [`Analytic] cost model, and the
-   analytic overhead analogue. *)
+   zero-simulator guarantee of the [`Analytic] cost model, one
+   closed-form evaluation per (config, nest), and the analytic overhead
+   analogue. *)
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -198,6 +199,98 @@ let test_analytic_attaches_cost () =
         costed
 
 (* ------------------------------------------------------------------ *)
+(* One closed-form evaluation per (config, nest)                       *)
+(* ------------------------------------------------------------------ *)
+
+(* An analytic lint estimates each nest with a line conflict once: the
+   FS count and the Eq. 1 context share the evaluation. *)
+let test_one_estimate_per_nest () =
+  let opts = { Analysis.Lint.default_options with cost_model = `Analytic } in
+  let params = [ ("num_threads", opts.Analysis.Lint.threads) ] in
+  let line_bytes = Archspec.Arch.line_bytes opts.Analysis.Lint.arch in
+  let total =
+    List.fold_left
+      (fun total (k : Kernels.Kernel.t) ->
+        let name = k.Kernels.Kernel.name in
+        let checked = Kernels.Kernel.parse k in
+        let conflicting =
+          List.concat_map
+            (fun func -> Loopir.Lower.lower_all checked ~func ~params)
+            (Loopir.Lower.find_parallel_functions
+               checked.Minic.Typecheck.prog)
+          |> List.filter (fun nest ->
+                 List.exists
+                   (fun (p : Analysis.Depend.pair) ->
+                     p.Analysis.Depend.verdict = Analysis.Depend.Line_conflict)
+                   (Analysis.Depend.pairs ~line_bytes ~params nest))
+          |> List.length
+        in
+        let before = Analysis.Closed_form.estimate_count () in
+        ignore (Analysis.Lint.run ~opts ~uri:("kernel:" ^ name) checked);
+        check Alcotest.int
+          (name ^ ": one closed-form evaluation per conflicting nest")
+          conflicting
+          (Analysis.Closed_form.estimate_count () - before);
+        total + conflicting)
+      0 (Kernels.Registry.all ())
+  in
+  if total = 0 then fail "no registry nest has a line conflict"
+
+(* The caller's estimate changes nothing: [analyze ~closed] equals a
+   fresh [analyze], and [overhead_or_analyze] equals [overhead] followed
+   by [analyze] at the FS-prone chunk when it declines. *)
+let test_shared_estimate_same_result () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun (k : Kernels.Kernel.t) ->
+          let name = k.Kernels.Kernel.name and threads = 4 in
+          let checked = Kernels.Kernel.parse k in
+          let params = [ ("num_threads", threads) ] in
+          let nest =
+            Loopir.Lower.lower checked ~func:k.Kernels.Kernel.func ~params
+          in
+          List.iter
+            (fun chunk ->
+              let cfg =
+                { (Fsmodel.Model.default_config ~arch ~threads ()) with
+                  Fsmodel.Model.chunk; params }
+              in
+              let closed = Analysis.Closed_form.estimate cfg ~nest ~checked in
+              let fresh =
+                Analysis.Reuse.analyze ~arch ?chunk ~threads ~params ~checked
+                  nest
+              in
+              let shared =
+                Analysis.Reuse.analyze ~arch ?chunk ~closed ~threads ~params
+                  ~checked nest
+              in
+              if compare fresh shared <> 0 then
+                fail (name ^ ": analyze ~closed differs"))
+            [ None; Some k.Kernels.Kernel.fs_chunk ];
+          let fs_chunk = k.Kernels.Kernel.fs_chunk
+          and nfs_chunk = k.Kernels.Kernel.nfs_chunk in
+          let expected =
+            match
+              Analysis.Reuse.overhead ~arch ~threads ~fs_chunk ~nfs_chunk
+                ~func:k.Kernels.Kernel.func checked
+            with
+            | Some o -> (Some o, o.Analysis.Reuse.analytic)
+            | None ->
+                ( None,
+                  Analysis.Reuse.analyze ~arch ~chunk:fs_chunk ~threads ~params
+                    ~checked nest )
+          in
+          let got =
+            Analysis.Reuse.overhead_or_analyze ~arch ~threads ~fs_chunk
+              ~nfs_chunk ~checked nest
+          in
+          if compare expected got <> 0 then
+            fail (name ^ ": overhead_or_analyze differs"))
+        (Kernels.Registry.all ()))
+    [ Archspec.Arch.paper_machine; arch ]
+
+(* ------------------------------------------------------------------ *)
 (* Analytic overhead (the Eq. 5 analogue)                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -234,5 +327,9 @@ let () =
           Alcotest.test_case "analytic cost attached" `Quick
             test_analytic_attaches_cost;
           Alcotest.test_case "analytic overhead" `Quick test_overhead_heat;
+          Alcotest.test_case "one estimate per conflicting nest" `Quick
+            test_one_estimate_per_nest;
+          Alcotest.test_case "shared estimate, same result" `Quick
+            test_shared_estimate_same_result;
         ] );
     ]
