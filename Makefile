@@ -37,14 +37,6 @@ lint-check: build
 	./_build/default/bin/fsdetect.exe lint --fail-on never --cost-model analytic -k heat | grep -q 'cost: Total_c'
 	./_build/default/bin/fsdetect.exe analyze --cost-model analytic --format json -k heat | grep -q '"costModel": "analytic"'
 
-# Analytic-vs-simulator accuracy gate: every registry kernel's reuse
-# prediction must land inside the per-kernel tolerances pinned in
-# test/test_reuse.ml, and the analytic lint path must make zero engine
-# evaluations.  (Also part of `dune runtest`; exposed as its own target
-# so CI can run and report it separately.)
-cost-model-accuracy: build
-	./_build/default/test/test_reuse.exe
-
 # End-to-end smoke of the analysis service: one `fsdetect serve`
 # process gets the same mixed batch (lint + explain over every registry
 # kernel) twice; the warm pass must return byte-identical responses and
@@ -73,13 +65,12 @@ fix-verify: build
 	./_build/default/bin/fsdetect.exe fuzz --seed 7 --count 400 \
 	  --promote test/corpus --out fuzz-failures
 
-# The seeded-schedule tier: the statistical test binary (replay
-# determinism, per-seed cross-engine equality on both engines, static
-# equivalence, the 32-seed Cole-Ramachandran steal bound on every
-# registry kernel), then a distributional lint over K=8 seeds on each
-# engine-facing schedule kind as a CLI-level check.
+# The seeded-schedule tier at the CLI: a distributional lint over K=8
+# seeds on each engine-facing schedule kind.  Its statistical laws
+# (replay determinism, per-seed cross-engine equality, static
+# equivalence, the 32-seed steal bound) are test/test_sched.ml, which
+# `dune runtest` runs.
 sched-smoke: build
-	./_build/default/test/test_sched.exe
 	./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never \
 	  -k heat --schedule dynamic --seeds 8 | grep -q 'fs-dist: mean'
 	./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never \

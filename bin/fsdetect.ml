@@ -139,22 +139,11 @@ let sched_of_flags ~schedule ~seeds ~chunk =
           exit 2)
 
 let wrap f = (try f () with
-  | Minic.Parser.Error (m, l) ->
-      Printf.eprintf "parse error (line %d): %s\n" l m; exit 1
-  | Minic.Lexer.Error (m, l) ->
-      Printf.eprintf "lex error (line %d): %s\n" l m; exit 1
-  | Minic.Preproc.Error (m, l) ->
-      Printf.eprintf "preprocessor error (line %d): %s\n" l m; exit 1
-  | Minic.Typecheck.Type_error m ->
-      Printf.eprintf "type error: %s\n" m; exit 1
-  | Loopir.Lower.Lower_error m ->
-      Printf.eprintf "analysis error: %s\n" m; exit 1
-  | Loopir.Expr_eval.Unbound v ->
-      Printf.eprintf
-        "analysis error: unbound identifier '%s' (bind it with -p %s=VAL)\n" v
-        v;
-      exit 1
-  | Sys_error m -> Printf.eprintf "%s\n" m; exit 1)
+  | Sys_error m -> Printf.eprintf "%s\n" m; exit 1
+  | e -> (
+      match Service.Api.error_message e with
+      | Some msg -> prerr_string msg; exit 1
+      | None -> raise e))
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)

@@ -663,8 +663,6 @@ type spair = {
   scases : (verdict * evidence) Symbolic.cases;
 }
 
-let sverdicts sp = Symbolic.map sp.scases fst
-
 (* A loop variable's value interval with affine-in-parameters endpoints. *)
 type sival = { slo : Affine.t; shi : Affine.t }
 

@@ -133,9 +133,6 @@ type spair = {
           over the free parameters *)
 }
 
-val sverdicts : spair -> verdict Symbolic.cases
-(** The verdict tree with evidence stripped. *)
-
 val pairs_sym :
   line_bytes:int ->
   params:(string * int) list ->

@@ -50,6 +50,28 @@ and cost = {
   mem_fetches : float;
 }
 
+let finding ?(fixits = []) ?region ?symbolic ?(attribution = []) ?backend
+    ?witness ?reason ?cost ?sched ?dist ?fix_verified ~rule ~severity ~span
+    ~func message =
+  {
+    rule;
+    severity;
+    span;
+    func;
+    message;
+    fixits;
+    region;
+    symbolic;
+    attribution;
+    backend;
+    witness;
+    reason;
+    cost;
+    sched;
+    dist;
+    fix_verified;
+  }
+
 type report = { uri : string; findings : finding list }
 
 let severity_name = function

@@ -72,6 +72,27 @@ and cost = {
   mem_fetches : float;  (** predicted DRAM line fetches, machine-wide *)
 }
 
+val finding :
+  ?fixits:fixit list ->
+  ?region:string ->
+  ?symbolic:string ->
+  ?attribution:string list ->
+  ?backend:string ->
+  ?witness:string ->
+  ?reason:string ->
+  ?cost:cost ->
+  ?sched:string ->
+  ?dist:Dist.t ->
+  ?fix_verified:fix_verified ->
+  rule:string ->
+  severity:severity ->
+  span:Minic.Span.t ->
+  func:string ->
+  string ->
+  finding
+(** [finding ~rule ~severity ~span ~func message]: the record with every
+    field not given empty ([[]] or [None]). *)
+
 type report = { uri : string; findings : finding list }
 
 val severity_name : severity -> string

@@ -9,10 +9,10 @@
     - the transformed source round-trips (re-parses and re-typechecks to
       the same span-erased AST),
     - both engines agree on the FS count before and after,
-    - the attributed FS removal reaches [min_removal] (default 90%),
+    - the attributed FS removal reaches [min_removal] (90%),
     - no new race appears, and
     - the analytic [Total_c] does not regress beyond [cost_slack]
-      (default 5%).
+      (5%).
 
     The execution-simulator leg of the gate lives with the tests and the
     bench driver ([test/fix_verify.ml]), which link the simulator; this
@@ -52,8 +52,6 @@ type outcome =
 val verify :
   ?arch:Archspec.Arch.t ->
   ?advice:Fsmodel.Advisor.advice ->
-  ?min_removal:float ->
-  ?cost_slack:float ->
   ?chunk:int ->
   threads:int ->
   func:string ->

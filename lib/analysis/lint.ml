@@ -7,12 +7,6 @@ let cost_model_name = function
   | `Analytic -> "analytic"
   | `Both -> "both"
 
-let cost_model_of_string = function
-  | "sim" -> Some `Sim
-  | "analytic" -> Some `Analytic
-  | "both" -> Some `Both
-  | _ -> None
-
 type options = {
   arch : Archspec.Arch.t;
   threads : int;
@@ -41,35 +35,33 @@ let default_options =
     seeds = 8;
   }
 
-(* The dispatcher kind a nest is analyzed under: an explicit --schedule
-   wins; otherwise a dynamic/guided pragma in the source is replayed
-   with its own chunk (or --chunk).  Static stays on the closed-form
-   round-robin path. *)
-let sched_kind_of ~opts nest =
-  let granule default =
-    match opts.chunk with
-    | Some c -> c
-    | None -> (
-        match Loop_nest.chunk_spec nest with Some c -> c | None -> default)
-  in
-  match opts.sched with
-  | Some k -> Some k
-  | None -> (
-      match Loop_nest.schedule_kind nest with
-      | `Static -> None
-      | `Dynamic -> Some (Ompsched.Dispatch.Dynamic { chunk = granule 1 })
-      | `Guided -> Some (Ompsched.Dispatch.Guided { min_chunk = granule 1 }))
-
 let all_params opts = ("num_threads", opts.threads) :: opts.params
 
+(* The dispatcher kind a nest is analyzed under: an explicit --schedule
+   wins; otherwise the one Model.run picks for the pragma (a replayed
+   dynamic/guided deal at its own chunk or --chunk).  [None] is the
+   static round-robin path. *)
+let sched_kind_of ~opts cfg nest =
+  match opts.sched with
+  | Some _ as k -> k
+  | None -> Option.map fst (Fsmodel.Model.dispatch cfg nest)
+
+(* One verdict case: a reference pair's verdict with its evidence, over
+   the whole nest when it is concrete, over one parameter region when it
+   is parametric.  [region] is that region rendered for the case's
+   findings; independent cases yield none and carry [None]. *)
+type case = {
+  a : Array_ref.t;
+  b : Array_ref.t;
+  verdict : Depend.verdict;
+  ev : Depend.evidence;
+  region : string option;
+}
+
+let span_of c = Minic.Span.join c.a.Array_ref.span c.b.Array_ref.span
 let access_word r = if Array_ref.is_write r then "write" else "read"
 
-let span_of_refs (a : Array_ref.t) (b : Array_ref.t) =
-  Minic.Span.join a.Array_ref.span b.Array_ref.span
-
-let span_of_pair (p : Depend.pair) = span_of_refs p.Depend.a p.Depend.b
-
-(* Diag backend/witness fields from a pair's evidence: the backend is
+(* Diag backend/witness fields from a case's evidence: the backend is
    only noteworthy past the default tier. *)
 let ev_fields (ev : Depend.evidence) =
   let backend =
@@ -79,102 +71,94 @@ let ev_fields (ev : Depend.evidence) =
   in
   (backend, Option.map Depend.witness_to_string ev.Depend.ev_witness)
 
-(* With --exact on (not auto), budget fallbacks become findings of
-   their own instead of silent SARIF properties. *)
-let fallback_findings ~opts ~func pairs_ev =
-  if opts.exact <> `On then []
-  else
+(* The findings a nest's cases yield whatever its FS count: one per racy
+   case, one per distinct unknown reason and, with --exact on (not
+   auto), budget fallbacks as findings of their own instead of silent
+   SARIF properties. *)
+let verdict_findings ~opts ~func cases =
+  let seen = Hashtbl.create 4 in
+  let finding ~rule ~severity ?reason c message =
+    let backend, witness = ev_fields c.ev in
+    Diag.finding ~rule ~severity ~span:(span_of c) ~func ?region:c.region
+      ?backend ?witness ?reason message
+  in
+  let races =
     List.filter_map
-      (fun (span, repr_a, repr_b, (ev : Depend.evidence)) ->
-        match ev.Depend.ev_backend with
-        | Depend.Fallback msg ->
+      (fun c ->
+        if c.verdict <> Depend.Loop_carried then None
+        else
+          Some
+            (finding ~rule:"race/loop-carried" ~severity:Diag.Error c
+               (Printf.sprintf
+                  "loop-carried dependence: %s (%s) and %s (%s) %s the same \
+                   bytes in different iterations of the parallel loop"
+                  c.a.Array_ref.repr (access_word c.a) c.b.Array_ref.repr
+                  (access_word c.b)
+                  (if c.ev.Depend.ev_must then "provably touch"
+                   else "may touch"))))
+      cases
+  in
+  let unknowns =
+    List.filter_map
+      (fun c ->
+        match c.verdict with
+        | Depend.Unknown reason when not (Hashtbl.mem seen reason) ->
+            Hashtbl.add seen reason ();
             Some
-              {
-                Diag.rule = "analysis/exact-budget";
-                severity = Diag.Warning;
-                span;
-                func;
-                message =
-                  Printf.sprintf
+              (finding ~rule:"analysis/unknown" ~severity:Diag.Warning ~reason
+                 c
+                 (Printf.sprintf "cannot prove %s and %s independent: %s"
+                    c.a.Array_ref.repr c.b.Array_ref.repr reason))
+        | _ -> None)
+      cases
+  in
+  let fallbacks =
+    List.filter_map
+      (fun c ->
+        match c.ev.Depend.ev_backend with
+        | Depend.Fallback msg when opts.exact = `On ->
+            Some
+              (Diag.finding ~rule:"analysis/exact-budget"
+                 ~severity:Diag.Warning ~span:(span_of c) ~func
+                 ~backend:(Depend.backend_name c.ev.Depend.ev_backend)
+                 (Printf.sprintf
                     "exact backend fell back to banerjee for %s vs %s: %s \
                      (raise --exact-budget)"
-                    repr_a repr_b msg;
-                fixits = [];
-                region = None;
-                symbolic = None;
-                attribution = [];
-                backend = Some (Depend.backend_name ev.Depend.ev_backend);
-                witness = None;
-                reason = None;
-                cost = None;
-                sched = None;
-                dist = None;
-                fix_verified = None;
-              }
+                    c.a.Array_ref.repr c.b.Array_ref.repr msg))
         | _ -> None)
-      pairs_ev
+      cases
+  in
+  races @ unknowns @ fallbacks
 
-(* One finding per racy pair. *)
-let race_finding ~func ?region ?(ev = Depend.banerjee_ev ~must:false)
-    (a : Array_ref.t) (b : Array_ref.t) =
-  let backend, witness = ev_fields ev in
-  {
-    Diag.rule = "race/loop-carried";
-    severity = Diag.Error;
-    span = span_of_refs a b;
-    func;
-    message =
-      Printf.sprintf
-        "loop-carried dependence: %s (%s) and %s (%s) %s the same bytes in \
-         different iterations of the parallel loop"
-        a.Array_ref.repr (access_word a) b.Array_ref.repr (access_word b)
-        (if ev.Depend.ev_must then "provably touch" else "may touch");
-    fixits = [];
-    region;
-    symbolic = None;
-    attribution = [];
-    backend;
-    witness;
-    reason = None;
-    cost = None;
-    sched = None;
-    dist = None;
-    fix_verified = None;
-  }
-
-(* Unknown verdicts collapse to one finding per distinct reason. *)
-let unknown_findings ~func pairs =
-  let seen = Hashtbl.create 4 in
-  List.filter_map
-    (fun (p : Depend.pair) ->
-      match p.Depend.verdict with
-      | Depend.Unknown reason when not (Hashtbl.mem seen reason) ->
-          Hashtbl.add seen reason ();
-          let backend, witness = ev_fields p.Depend.ev in
-          Some
-            {
-              Diag.rule = "analysis/unknown";
-              severity = Diag.Warning;
-              span = span_of_pair p;
-              func;
-              message =
-                Printf.sprintf
-                  "cannot prove %s and %s independent: %s"
-                  p.Depend.a.Array_ref.repr p.Depend.b.Array_ref.repr reason;
-              fixits = [];
-              region = None;
-              symbolic = None;
-              attribution = [];
-              backend;
-              witness;
-              reason = Some reason;
-              cost = None;
-              sched = None;
-              dist = None;
-              fix_verified = None;
-            }
-      | _ -> None)
-    pairs
+(* One fs/line-conflict finding per base of the conflict cases, in base
+   order: the base's spans joined, its first case as the example and
+   [quant] the count sentence; returned with the base and its cases for
+   the fields each path adds.  [must] lets the example's evidence say
+   the line is provably shared. *)
+let conflict_findings ~func ~warn ~must ~quant conflicts =
+  List.sort_uniq compare (List.map (fun c -> c.a.Array_ref.base) conflicts)
+  |> List.map (fun base ->
+         let cs = List.filter (fun c -> c.a.Array_ref.base = base) conflicts in
+         let c = List.hd cs in
+         let span =
+           List.fold_left
+             (fun s c -> Minic.Span.join s (span_of c))
+             Minic.Span.none cs
+         in
+         let backend, witness = ev_fields c.ev in
+         ( base,
+           cs,
+           Diag.finding ~rule:"fs/line-conflict"
+             ~severity:(if warn then Diag.Warning else Diag.Info)
+             ~span ~func ?backend ?witness
+             (Printf.sprintf
+                "%s and %s are byte-disjoint across parallel iterations %s; \
+                 %s"
+                c.a.Array_ref.repr c.b.Array_ref.repr
+                (if must && c.ev.Depend.ev_must then
+                   "and provably share a cache line"
+                 else "but may share a cache line")
+                quant) ))
 
 (* Quantify a nest's false sharing: certified closed form when it
    applies, the exact engine otherwise — except under [--cost-model
@@ -270,11 +254,9 @@ let fixits_for ~opts ~checked ~base advice =
       pad_fix @ chunk_fix
 
 (* Attribution for a concrete nest: rerun the engine with a recorder
-   (aggregates only, no trace ring) and collapse the (writer reference,
-   victim reference, thread pair) histogram to reference pairs, keeping
-   the heaviest thread pair of each as its representative.  Returns the
-   compiled references, the case total and the pairs sorted by
-   descending weight. *)
+   (aggregates only, no trace ring) and fold its histogram to reference
+   pairs, as [fsdetect explain] does.  Returns the compiled references,
+   the case total and the pairs, heaviest first. *)
 let attribution_pairs ~checked cfg nest =
   let refs = Array.of_list nest.Loop_nest.refs in
   let sink =
@@ -286,201 +268,122 @@ let attribution_pairs ~checked cfg nest =
   | _ ->
       let total = Fsmodel.Attrib.total sink in
       if total = 0 then None
-      else begin
-        let agg = Hashtbl.create 16 in
-        let order = ref [] in
-        List.iter
-          (fun (p : Fsmodel.Attrib.pair_stat) ->
-            let key = (p.writer_ref, p.victim_ref) in
-            match Hashtbl.find_opt agg key with
-            | Some (c, tp, wt, vt) ->
-                Hashtbl.replace agg key (c + p.count, tp + 1, wt, vt)
-            | None ->
-                order := key :: !order;
-                Hashtbl.add agg key (p.count, 1, p.writer_tid, p.victim_tid))
-          (Fsmodel.Attrib.top_pairs ~n:max_int sink);
-        let pairs =
-          List.sort
-            (fun (k1, (c1, _, _, _)) (k2, (c2, _, _, _)) ->
-              let c = compare c2 c1 in
-              if c <> 0 then c else compare k1 k2)
-            (List.rev_map (fun key -> (key, Hashtbl.find agg key)) !order)
-        in
-        Some (refs, total, pairs)
-      end
+      else Some (refs, total, Fsmodel.Attrib.ref_pairs sink)
 
-(* The top-3 sentences for one base's finding, phrased exactly like
-   [fsdetect explain]'s reference-pair report. *)
+(* The top-3 sentences for one base's finding: explain's reference-pair
+   lines, restricted to the pairs that touch [base]. *)
 let attribution_sentences ~refs ~total ~base pairs =
-  let touches ((wr, vr), _) =
-    (wr >= 0 && refs.(wr).Array_ref.base = base)
-    || refs.(vr).Array_ref.base = base
+  let touches (p : Fsmodel.Attrib.ref_pair) =
+    (p.rp_writer >= 0 && refs.(p.rp_writer).Array_ref.base = base)
+    || refs.(p.rp_victim).Array_ref.base = base
   in
   List.filteri (fun i _ -> i < 3) (List.filter touches pairs)
-  |> List.map (fun ((wr, vr), (count, tps, wt, vt)) ->
-         let writer_part =
-           if wr >= 0 then
-             Printf.sprintf "%s written by T%d" refs.(wr).Array_ref.repr wt
-           else Printf.sprintf "a write by T%d" wt
-         in
-         let more =
-           if tps <= 1 then ""
-           else Printf.sprintf " and %d more thread pair(s)" (tps - 1)
-         in
-         let victim_word =
-           if Array_ref.is_write refs.(vr) then "written" else "read"
-         in
-         Printf.sprintf
-           "%.1f%% of FS cases: %s invalidates %s %s by T%d (%d case(s)%s)"
-           (100. *. float_of_int count /. float_of_int total)
-           writer_part refs.(vr).Array_ref.repr victim_word vt count more)
+  |> List.map (Fsmodel.Attrib.sentence ~refs ~total)
 
-(* One finding per conflicting base of the nest.  [fixv] is the lazy
-   function-level fix verification (Fixer.verify on the materialized
-   plan); it is forced only when a finding actually attaches fix-its,
-   so race-gated and fixits-off lints never pay for it. *)
-let fs_findings ~opts ~checked ~func ~advice ~fixv ~races conflicts cfg nest =
-  if conflicts = [] then []
-  else
-    (* a nondeterministic schedule (from --schedule or a
-       dynamic/guided pragma) turns the count into a distribution over
-       the replayed seed set; the static path keeps the closed
-       form/engine split *)
-    let replayed =
-      match sched_kind_of ~opts nest with
-      | None -> None
-      | Some kind -> (
-          match
-            Dist.run ~seeds:(Dist.seeds_upto opts.seeds) ~kind cfg ~nest
-              ~checked
-          with
-          | d -> Some (kind, d)
-          | exception _ -> None)
-    in
-    let warn, fix, quant, attrib, cost, sched_name, dist =
-      match replayed with
-      | Some (kind, d) ->
-          let name = Ompsched.Dispatch.kind_name kind in
-          let nseeds = Array.length d.Dist.seeds in
-          let quant =
-            if d.Dist.max_fs > 0 then
-              Printf.sprintf
-                "replaying schedule(%s) over %d seed(s) at %d threads, the \
-                 engine counts %.1f false-sharing case(s) on average (p95 %d)"
-                name nseeds opts.threads d.Dist.mean d.Dist.p95
-            else
-              Printf.sprintf
-                "but replaying schedule(%s) over %d seed(s) at %d threads \
-                 the engine counts no false-sharing case"
-                name nseeds opts.threads
-          in
-          (* attribution is per-execution; seed 0 is the canonical
-             representative.  The analytic cost model is static-schedule
-             semantics, so no Eq. 1 context here. *)
-          let attrib =
-            if d.Dist.max_fs > 0 && opts.cost_model <> `Analytic then
-              attribution_pairs ~checked
-                { cfg with Fsmodel.Model.sched = Some (kind, 0) }
-                nest
-            else None
-          in
-          let hot = d.Dist.max_fs > 0 in
-          (hot, hot, quant, attrib, None, Some name, Some d)
-      | None ->
-          (* one closed-form evaluation serves the count and the cost *)
-          let closed = lazy (Closed_form.estimate cfg ~nest ~checked) in
-          (* a nest rescued by the exact backend (unbound identifiers
-             treated as free parameters) has no concrete count to run *)
-          let fs, how =
-            try fs_count ~cost_model:opts.cost_model cfg ~nest ~checked closed
-            with _ -> (-1, "the nest references identifiers not bound by -p")
-          in
-          (* the analytic path never touches the engine, so no
-             attribution *)
-          let attrib =
-            if fs > 0 && opts.cost_model <> `Analytic then
-              attribution_pairs ~checked cfg nest
-            else None
-          in
-          let cost = cost_of ~opts ~checked ~closed nest in
-          let quant =
-            if fs > 0 then
-              Printf.sprintf
-                "the cost model counts %d false-sharing case(s) in this \
-                 nest at %d threads (%s)"
-                fs opts.threads how
-            else if fs = 0 then
-              Printf.sprintf
-                "but the cost model counts no false-sharing case at %d \
-                 threads (%s)"
-                opts.threads how
-            else Printf.sprintf "no concrete count (%s)" how
-          in
-          (fs <> 0, fs > 0, quant, attrib, cost, None, None)
-    in
-    let bases =
-      List.sort_uniq compare
-        (List.map (fun (p : Depend.pair) -> p.Depend.a.Array_ref.base)
-           conflicts)
-    in
-    List.map
-      (fun base ->
-        let ps =
-          List.filter
-            (fun (p : Depend.pair) -> p.Depend.a.Array_ref.base = base)
-            conflicts
+(* The FS findings of a concrete nest.  [fixv] is the lazy function-level
+   fix verification (Fixer.verify on the materialized plan); it is forced
+   only when a finding actually attaches fix-its, so race-gated and
+   fixits-off lints never pay for it. *)
+let fs_findings ~opts ~checked ~func ~advice ~fixv ~races cfg nest conflicts =
+  (* a nondeterministic schedule (from --schedule or a dynamic/guided
+     pragma) turns the count into a distribution over the replayed seed
+     set; the static path keeps the closed form/engine split *)
+  let replayed =
+    match sched_kind_of ~opts cfg nest with
+    | None -> None
+    | Some kind -> (
+        match
+          Dist.run ~seeds:(Dist.seeds_upto opts.seeds) ~kind cfg ~nest ~checked
+        with
+        | d -> Some (kind, d)
+        | exception _ -> None)
+  in
+  let warn, fix, quant, attrib, cost, sched_name, dist =
+    match replayed with
+    | Some (kind, d) ->
+        let name = Ompsched.Dispatch.kind_name kind in
+        let nseeds = Array.length d.Dist.seeds in
+        let quant =
+          if d.Dist.max_fs > 0 then
+            Printf.sprintf
+              "replaying schedule(%s) over %d seed(s) at %d threads, the \
+               engine counts %.1f false-sharing case(s) on average (p95 %d)"
+              name nseeds opts.threads d.Dist.mean d.Dist.p95
+          else
+            Printf.sprintf
+              "but replaying schedule(%s) over %d seed(s) at %d threads the \
+               engine counts no false-sharing case"
+              name nseeds opts.threads
         in
-        let example = List.hd ps in
-        let span =
-          List.fold_left
-            (fun s p -> Minic.Span.join s (span_of_pair p))
-            Minic.Span.none ps
-        in
-        let severity = if warn then Diag.Warning else Diag.Info in
-        let fixits =
-          if opts.fixits && races = [] && fix then
-            fixits_for ~opts ~checked ~base advice
-          else []
-        in
-        (* fix verification is static-schedule semantics: attached only
-           where fix-its are, and never on a replayed schedule *)
-        let fix_verified =
-          if opts.fixits && races = [] && fix && sched_name = None then
-            Lazy.force fixv
+        (* attribution is per-execution; seed 0 is the canonical
+           representative.  The analytic cost model is static-schedule
+           semantics, so no Eq. 1 context here. *)
+        let attrib =
+          if d.Dist.max_fs > 0 && opts.cost_model <> `Analytic then
+            attribution_pairs ~checked
+              { cfg with Fsmodel.Model.sched = Some (kind, 0) }
+              nest
           else None
         in
-        let backend, witness = ev_fields example.Depend.ev in
-        {
-          Diag.rule = "fs/line-conflict";
-          severity;
-          span;
-          func;
-          message =
+        let hot = d.Dist.max_fs > 0 in
+        (hot, hot, quant, attrib, None, Some name, Some d)
+    | None ->
+        (* one closed-form evaluation serves the count and the cost *)
+        let closed = lazy (Closed_form.estimate cfg ~nest ~checked) in
+        (* a nest rescued by the exact backend (unbound identifiers
+           treated as free parameters) has no concrete count to run *)
+        let fs, how =
+          try fs_count ~cost_model:opts.cost_model cfg ~nest ~checked closed
+          with _ -> (-1, "the nest references identifiers not bound by -p")
+        in
+        (* the analytic path never touches the engine, so no
+           attribution *)
+        let attrib =
+          if fs > 0 && opts.cost_model <> `Analytic then
+            attribution_pairs ~checked cfg nest
+          else None
+        in
+        let cost = cost_of ~opts ~checked ~closed nest in
+        let quant =
+          if fs > 0 then
             Printf.sprintf
-              "%s and %s are byte-disjoint across parallel iterations %s; %s"
-              example.Depend.a.Array_ref.repr
-              example.Depend.b.Array_ref.repr
-              (if example.Depend.ev.Depend.ev_must then
-                 "and provably share a cache line"
-               else "but may share a cache line")
-              quant;
-          fixits;
-          region = None;
-          symbolic = None;
-          attribution =
-            (match attrib with
-            | None -> []
-            | Some (refs, total, pairs) ->
-                attribution_sentences ~refs ~total ~base pairs);
-          backend;
-          witness;
-          reason = None;
-          cost;
-          sched = sched_name;
-          dist;
-          fix_verified;
-        })
-      bases
+              "the cost model counts %d false-sharing case(s) in this nest \
+               at %d threads (%s)"
+              fs opts.threads how
+          else if fs = 0 then
+            Printf.sprintf
+              "but the cost model counts no false-sharing case at %d threads \
+               (%s)"
+              opts.threads how
+          else Printf.sprintf "no concrete count (%s)" how
+        in
+        (fs <> 0, fs > 0, quant, attrib, cost, None, None)
+  in
+  let fixable = opts.fixits && (not races) && fix in
+  List.map
+    (fun (base, _, f) ->
+      let fixits =
+        if fixable then fixits_for ~opts ~checked ~base advice else []
+      in
+      (* fix verification is static-schedule semantics: attached only
+         where fix-its are, and never on a replayed schedule *)
+      let fix_verified =
+        if fixable && sched_name = None then Lazy.force fixv else None
+      in
+      {
+        f with
+        Diag.fixits;
+        attribution =
+          (match attrib with
+          | None -> []
+          | Some (refs, total, pairs) ->
+              attribution_sentences ~refs ~total ~base pairs);
+        cost;
+        sched = sched_name;
+        dist;
+        fix_verified;
+      })
+    (conflict_findings ~func ~warn ~must:true ~quant conflicts)
 
 (* ---------------------------------------------------------------- *)
 (* Parametric (symbolic) nests                                       *)
@@ -567,231 +470,103 @@ let sym_count ~opts ~checked ~ctx ~free cfg nest =
         None,
         true )
 
-let lint_nest_sym ~opts ~checked ~func nest =
+(* A parametric nest's cases: every pair's verdict paths, each with the
+   parameter region it holds in. *)
+let sym_cases ~opts ~checked cfg nest =
   let line_bytes = Archspec.Arch.line_bytes opts.arch in
-  let params = all_params opts in
   let layout = Layout.make ~line_bytes checked in
   let extent_of base =
     try Some (Layout.size_of layout base) with Not_found -> None
   in
   let spairs, ctx, free =
-    Depend.pairs_sym ~line_bytes ~params ~exact:opts.exact
-      ~exact_budget:opts.exact_budget ~extent_of nest
+    Depend.pairs_sym ~line_bytes ~params:cfg.Fsmodel.Model.params
+      ~exact:opts.exact ~exact_budget:opts.exact_budget ~extent_of nest
   in
-  let with_paths =
-    List.map
+  let cases =
+    List.concat_map
       (fun (sp : Depend.spair) ->
-        (sp, Symbolic.paths ctx sp.Depend.scases))
+        List.map
+          (fun (conds, (verdict, ev)) ->
+            {
+              a = sp.Depend.sa;
+              b = sp.Depend.sb;
+              verdict;
+              ev;
+              region =
+                (if verdict = Depend.Independent then None
+                 else Some (region_string ~ctx ~free conds));
+            })
+          (Symbolic.paths ctx sp.Depend.scases))
       spairs
   in
-  let races =
-    List.concat_map
-      (fun ((sp : Depend.spair), paths) ->
-        List.filter_map
-          (fun (conds, (v, ev)) ->
-            if v = Depend.Loop_carried then
-              Some
-                (race_finding ~func
-                   ~region:(region_string ~ctx ~free conds)
-                   ~ev sp.Depend.sa sp.Depend.sb)
-            else None)
-          paths)
-      with_paths
-  in
-  let unknowns =
-    let seen = Hashtbl.create 4 in
-    List.concat_map
-      (fun ((sp : Depend.spair), paths) ->
-        List.filter_map
-          (fun (conds, (v, ev)) ->
-            match v with
-            | Depend.Unknown reason when not (Hashtbl.mem seen reason) ->
-                Hashtbl.add seen reason ();
-                let backend, witness = ev_fields ev in
-                Some
-                  {
-                    Diag.rule = "analysis/unknown";
-                    severity = Diag.Warning;
-                    span = span_of_refs sp.Depend.sa sp.Depend.sb;
-                    func;
-                    message =
-                      Printf.sprintf "cannot prove %s and %s independent: %s"
-                        sp.Depend.sa.Array_ref.repr
-                        sp.Depend.sb.Array_ref.repr reason;
-                    fixits = [];
-                    region = Some (region_string ~ctx ~free conds);
-                    symbolic = None;
-                    attribution = [];
-                    backend;
-                    witness;
-                    reason = Some reason;
-                    cost = None;
-                    sched = None;
-                    dist = None;
-                    fix_verified = None;
-                  }
-            | _ -> None)
-          paths)
-      with_paths
-  in
-  (* conflicting pairs grouped by base, each with its region *)
-  let conflicts =
-    List.concat_map
-      (fun ((sp : Depend.spair), paths) ->
-        List.filter_map
-          (fun (conds, (v, ev)) ->
-            if v = Depend.Line_conflict then Some (sp, conds, ev) else None)
-          paths)
-      with_paths
-  in
-  let fs =
-    if conflicts = [] then []
-    else begin
-      let cfg =
-        {
-          (Fsmodel.Model.default_config ~arch:opts.arch ~threads:opts.threads
-             ())
-          with
-          chunk = opts.chunk;
-          params;
-        }
+  (cases, ctx, free)
+
+(* The FS findings of a parametric nest: the parametric count, and the
+   widest region among a base's conflicting paths.  Fix-its are
+   concrete-only. *)
+let sym_fs_findings ~opts ~checked ~func ~ctx ~free cfg nest conflicts =
+  let quant, symbolic, warn = sym_count ~opts ~checked ~ctx ~free cfg nest in
+  List.map
+    (fun (_, cs, f) ->
+      let region =
+        match
+          List.sort_uniq compare (List.filter_map (fun c -> c.region) cs)
+        with
+        | [ r ] -> r
+        | rs -> String.concat "; or " rs
       in
-      let quant, formula, warn = sym_count ~opts ~checked ~ctx ~free cfg nest in
-      let bases =
-        List.sort_uniq compare
-          (List.map
-             (fun ((sp : Depend.spair), _, _) -> sp.Depend.sa.Array_ref.base)
-             conflicts)
-      in
-      List.map
-        (fun base ->
-          let ps =
-            List.filter
-              (fun ((sp : Depend.spair), _, _) ->
-                sp.Depend.sa.Array_ref.base = base)
-              conflicts
-          in
-          let (example, _, ev) = List.hd ps in
-          let span =
-            List.fold_left
-              (fun s ((sp : Depend.spair), _, _) ->
-                Minic.Span.join s (span_of_refs sp.Depend.sa sp.Depend.sb))
-              Minic.Span.none ps
-          in
-          (* the widest region among this base's conflicting paths *)
-          let region =
-            match ps with
-            | (_, conds, _) :: rest
-              when List.for_all (fun (_, c, _) -> c = conds) rest ->
-                region_string ~ctx ~free conds
-            | _ ->
-                String.concat "; or "
-                  (List.sort_uniq compare
-                     (List.map
-                        (fun (_, conds, _) -> region_string ~ctx ~free conds)
-                        ps))
-          in
-          let backend, witness = ev_fields ev in
-          {
-            Diag.rule = "fs/line-conflict";
-            severity = (if warn then Diag.Warning else Diag.Info);
-            span;
-            func;
-            message =
-              Printf.sprintf
-                "%s and %s are byte-disjoint across parallel iterations but \
-                 may share a cache line; %s"
-                example.Depend.sa.Array_ref.repr
-                example.Depend.sb.Array_ref.repr quant;
-            fixits = [];
-            region = Some region;
-            symbolic = formula;
-            attribution = [];
-            backend;
-            witness;
-            reason = None;
-            cost = None;
-            sched = None;
-            dist = None;
-            fix_verified = None;
-          })
-        bases
-    end
-  in
-  let fallbacks =
-    fallback_findings ~opts ~func
-      (List.concat_map
-         (fun ((sp : Depend.spair), paths) ->
-           List.map
-             (fun (_, (_, ev)) ->
-               ( span_of_refs sp.Depend.sa sp.Depend.sb,
-                 sp.Depend.sa.Array_ref.repr,
-                 sp.Depend.sb.Array_ref.repr,
-                 ev ))
-             paths)
-         with_paths)
-  in
-  races @ unknowns @ fs @ fallbacks
+      { f with Diag.region = Some region; symbolic })
+    (conflict_findings ~func ~warn ~must:false ~quant conflicts)
+
+(* A concrete nest's cases: one per reference pair. *)
+let concrete_cases ~opts cfg nest =
+  List.map
+    (fun (p : Depend.pair) ->
+      {
+        a = p.Depend.a;
+        b = p.Depend.b;
+        verdict = p.Depend.verdict;
+        ev = p.Depend.ev;
+        region = None;
+      })
+    (Depend.pairs
+       ~line_bytes:(Archspec.Arch.line_bytes opts.arch)
+       ~params:cfg.Fsmodel.Model.params ~exact:opts.exact
+       ~exact_budget:opts.exact_budget nest)
 
 let lint_nest ~opts ~checked ~func ~advice ~fixv nest =
-  let line_bytes = Archspec.Arch.line_bytes opts.arch in
-  let params = all_params opts in
-  if Depend.free_params ~params nest <> [] then
-    lint_nest_sym ~opts ~checked ~func nest
-  else
-    let pairs =
-      Depend.pairs ~line_bytes ~params ~exact:opts.exact
-        ~exact_budget:opts.exact_budget nest
-    in
-    let with_verdict v =
-      List.filter (fun (p : Depend.pair) -> p.Depend.verdict = v) pairs
-    in
-    let races = with_verdict Depend.Loop_carried in
-    let conflicts = with_verdict Depend.Line_conflict in
-    let cfg =
-      {
-        (Fsmodel.Model.default_config ~arch:opts.arch ~threads:opts.threads ())
-        with
-        chunk = opts.chunk;
-        params;
-      }
-    in
-    let advice = if races = [] then advice else None in
-    List.map
-      (fun (p : Depend.pair) ->
-        race_finding ~func ~ev:p.Depend.ev p.Depend.a p.Depend.b)
-      races
-    @ unknown_findings ~func pairs
-    @ fs_findings ~opts ~checked ~func ~advice ~fixv ~races conflicts cfg nest
-    @ fallback_findings ~opts ~func
-        (List.map
-           (fun (p : Depend.pair) ->
-             (span_of_pair p, p.Depend.a.Array_ref.repr,
-              p.Depend.b.Array_ref.repr, p.Depend.ev))
-           pairs)
+  let cfg =
+    {
+      (Fsmodel.Model.default_config ~arch:opts.arch ~threads:opts.threads ())
+      with
+      chunk = opts.chunk;
+      params = all_params opts;
+    }
+  in
+  let cases, fs =
+    if Depend.free_params ~params:cfg.Fsmodel.Model.params nest = [] then
+      let cases = concrete_cases ~opts cfg nest in
+      let races =
+        List.exists (fun c -> c.verdict = Depend.Loop_carried) cases
+      in
+      (cases, fs_findings ~opts ~checked ~func ~advice ~fixv ~races cfg nest)
+    else
+      let cases, ctx, free = sym_cases ~opts ~checked cfg nest in
+      (cases, sym_fs_findings ~opts ~checked ~func ~ctx ~free cfg nest)
+  in
+  let conflicts =
+    List.filter (fun c -> c.verdict = Depend.Line_conflict) cases
+  in
+  verdict_findings ~opts ~func cases
+  @ if conflicts = [] then [] else fs conflicts
 
 let lint_function ~opts ~checked func =
   match Lower.lower_all checked ~func ~params:(all_params opts) with
   | exception Lower.Lower_error m ->
       [
-        {
-          Diag.rule = "analysis/unknown";
-          severity = Diag.Warning;
-          span = Minic.Span.none;
-          func;
-          message = Printf.sprintf "cannot analyze %s: %s" func m;
-          fixits = [];
-          region = None;
-          symbolic = None;
-          attribution = [];
-          backend = None;
-          witness = None;
-          reason = Some m;
-          cost = None;
-          sched = None;
-          dist = None;
-          fix_verified = None;
-        };
+        Diag.finding ~rule:"analysis/unknown" ~severity:Diag.Warning
+          ~span:Minic.Span.none ~func ~reason:m
+          (Printf.sprintf "cannot analyze %s: %s" func m);
       ]
   | nests ->
       (* the advisor sweep is per function; share it across its nests

@@ -45,7 +45,6 @@ type cost_model = [ `Sim | `Analytic | `Both ]
 *)
 
 val cost_model_name : cost_model -> string
-val cost_model_of_string : string -> cost_model option
 
 type options = {
   arch : Archspec.Arch.t;

@@ -35,8 +35,8 @@ type prediction = {
 
 let round_up x a = (x + a - 1) / a * a
 
-let predict ?(arch = Archspec.Arch.paper_machine) ?chunk
-    ?(interleave_window = 4) ~threads ~env (nest : Loopir.Loop_nest.t) =
+let predict ?(arch = Archspec.Arch.paper_machine) ?chunk ~threads ~env
+    (nest : Loopir.Loop_nest.t) =
   let line = Archspec.Arch.line_bytes arch in
   let trips = Costmodel.Cache_model.trips_of_nest ~env nest in
   let loops = nest.Loopir.Loop_nest.loops in
@@ -188,11 +188,11 @@ let predict ?(arch = Archspec.Arch.paper_machine) ?chunk
     | Mem -> (0., 0., 0., 0., b.count)
   in
   (* Lines a thread pulls through its caches between two co-touches of a
-     shared line: the interpreter (and a real runtime) runs
-     [interleave_window] parallel iterations of one thread before the
-     next thread reaches the line. *)
+     shared line: the interpreter (and a real runtime) runs 4 parallel
+     iterations of one thread (its default window) before the next
+     thread reaches the line. *)
   let co_dist_lines =
-    interleave_window
+    4
     * round_up
         (Costmodel.Cache_model.footprint_bytes ~line_bytes:line ~trips
            ~levels:(vars_inside d) nest.Loopir.Loop_nest.refs)
@@ -365,29 +365,19 @@ type analytic = {
   fs_note : string;
 }
 
-let with_chunk (nest : Loopir.Loop_nest.t) = function
-  | None -> nest
-  | Some c ->
-      {
-        nest with
-        Loopir.Loop_nest.pragma =
-          {
-            nest.Loopir.Loop_nest.pragma with
-            Minic.Ast.schedule = Some (Minic.Ast.Sched_static (Some c));
-          };
-      }
-
-let analyze ?(arch = Archspec.Arch.paper_machine)
-    ?(fs_cost_factor = Costmodel.Total_cost.default_fs_cost_factor)
-    ?(contention = false) ?chunk ?closed ~threads ~params ~checked
-    (nest : Loopir.Loop_nest.t) =
+let analyze ?(arch = Archspec.Arch.paper_machine) ?(contention = false) ?chunk
+    ?closed ~threads ~params ~checked (nest : Loopir.Loop_nest.t) =
   let env v = List.assoc_opt v params in
   (* The override only rewrites the pragma's schedule, which the closed
      form reads for its kind (and, absent a config chunk, its chunk): an
      estimate of [nest] itself holds for the overridden nest unless the
      override turns a dynamic or guided pragma static. *)
   let shared = chunk = None || Loopir.Loop_nest.schedule_kind nest = `Static in
-  let nest = with_chunk nest chunk in
+  let nest =
+    match chunk with
+    | Some c -> Loopir.Loop_nest.with_static_chunk nest c
+    | None -> nest
+  in
   let prediction = predict ~arch ~threads ~env nest in
   let closed =
     match closed with
@@ -406,7 +396,7 @@ let analyze ?(arch = Archspec.Arch.paper_machine)
     | Closed_form.Inapplicable reason -> (None, reason)
   in
   let breakdown =
-    Costmodel.Total_cost.compute ~fs_cost_factor ~contention
+    Costmodel.Total_cost.compute ~contention
       ~cache_cycles:prediction.cache_cycles ~arch ~threads
       ~fs_cases:(Option.value fs_cases ~default:0)
       ~env ~checked nest
@@ -432,8 +422,8 @@ type overhead = {
 (* [overhead] on a lowered nest, also returning [fs_chunk]'s closed-form
    result.  Each chunking is estimated once: [fs_chunk]'s estimate feeds
    its breakdown, and [nfs_chunk] is skipped when [fs_chunk] has none. *)
-let overhead_of ~arch ~fs_cost_factor ~contention ~threads ~fs_chunk
-    ~nfs_chunk ~checked nest =
+let overhead_of ~arch ~contention ~threads ~fs_chunk ~nfs_chunk ~checked nest
+    =
   let params = [ ("num_threads", threads) ] in
   let base = Fsmodel.Model.default_config ~arch ~threads () in
   let at chunk =
@@ -449,40 +439,35 @@ let overhead_of ~arch ~fs_cost_factor ~contention ~threads ~fs_chunk
       | Closed_form.Exact n ->
           let n_fs = f.Closed_form.fs_cases and n_nfs = n.Closed_form.fs_cases in
           let analytic =
-            analyze ~arch ~fs_cost_factor ~contention ~chunk:fs_chunk ~closed
-              ~threads ~params ~checked nest
+            analyze ~arch ~contention ~chunk:fs_chunk ~closed ~threads ~params
+              ~checked nest
           in
-          let excess =
-            float_of_int (max 0 (n_fs - n_nfs))
-            *. float_of_int arch.Archspec.Arch.coherence_latency
-            *. fs_cost_factor /. float_of_int threads
+          let percent =
+            Costmodel.Total_cost.overhead_percent
+              ~fs_cost_factor:Costmodel.Total_cost.default_fs_cost_factor ~arch
+              ~threads ~n_fs ~n_nfs analytic.breakdown
           in
-          let total = analytic.breakdown.Costmodel.Total_cost.total_cycles in
-          let percent = if total <= 0. then 0. else 100. *. excess /. total in
           ( Some { threads; fs_chunk; nfs_chunk; n_fs; n_nfs; percent; analytic },
             closed ))
 
-let overhead ?(arch = Archspec.Arch.paper_machine)
-    ?(fs_cost_factor = Costmodel.Total_cost.default_fs_cost_factor)
-    ?(contention = false) ~threads ~fs_chunk ~nfs_chunk ~func checked =
+let overhead ?(arch = Archspec.Arch.paper_machine) ?(contention = false)
+    ~threads ~fs_chunk ~nfs_chunk ~func checked =
   let nest =
     Loopir.Lower.lower checked ~func ~params:[ ("num_threads", threads) ]
   in
   fst
-    (overhead_of ~arch ~fs_cost_factor ~contention ~threads ~fs_chunk
-       ~nfs_chunk ~checked nest)
+    (overhead_of ~arch ~contention ~threads ~fs_chunk ~nfs_chunk ~checked
+       nest)
 
 let overhead_or_analyze ?(arch = Archspec.Arch.paper_machine)
-    ?(fs_cost_factor = Costmodel.Total_cost.default_fs_cost_factor)
     ?(contention = false) ~threads ~fs_chunk ~nfs_chunk ~checked nest =
   let alone ?closed () =
-    analyze ~arch ~fs_cost_factor ~contention ~chunk:fs_chunk ?closed ~threads
+    analyze ~arch ~contention ~chunk:fs_chunk ?closed ~threads
       ~params:[ ("num_threads", threads) ]
       ~checked nest
   in
   match
-    overhead_of ~arch ~fs_cost_factor ~contention ~threads ~fs_chunk
-      ~nfs_chunk ~checked nest
+    overhead_of ~arch ~contention ~threads ~fs_chunk ~nfs_chunk ~checked nest
   with
   | Some o, _ -> (Some o, o.analytic)
   | None, closed -> (None, alone ~closed ())

@@ -65,15 +65,14 @@ type prediction = {
 val predict :
   ?arch:Archspec.Arch.t ->
   ?chunk:int ->
-  ?interleave_window:int ->
   threads:int ->
   env:(string -> int option) ->
   Loopir.Loop_nest.t ->
   prediction
 (** Pure histogram extraction — no simulator, no engine.  [chunk]
     overrides the pragma's chunk size; [env] must bind every parameter in
-    the bounds; [interleave_window] (default 4, {!Execsim.Interp}'s) sets
-    the co-touch residency horizon. *)
+    the bounds.  The co-touch residency horizon is {!Execsim.Interp}'s
+    default window of 4 parallel iterations. *)
 
 type analytic = {
   prediction : prediction;
@@ -88,7 +87,6 @@ type analytic = {
 
 val analyze :
   ?arch:Archspec.Arch.t ->
-  ?fs_cost_factor:float ->
   ?contention:bool ->
   ?chunk:int ->
   ?closed:Closed_form.result ->
@@ -122,7 +120,6 @@ type overhead = {
 
 val overhead :
   ?arch:Archspec.Arch.t ->
-  ?fs_cost_factor:float ->
   ?contention:bool ->
   threads:int ->
   fs_chunk:int ->
@@ -137,7 +134,6 @@ val overhead :
 
 val overhead_or_analyze :
   ?arch:Archspec.Arch.t ->
-  ?fs_cost_factor:float ->
   ?contention:bool ->
   threads:int ->
   fs_chunk:int ->

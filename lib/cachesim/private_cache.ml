@@ -47,4 +47,3 @@ let invalidate t line =
   in_l1 || in_l2
 
 let holds t line = Lru_stack.mem t.l2 line || Lru_stack.mem t.l1 line
-let lines_held t = Lru_stack.size t.l2

@@ -32,4 +32,3 @@ val invalidate : t -> int -> bool
 (** Drop a line from both levels; [true] if it was present. *)
 
 val holds : t -> int -> bool
-val lines_held : t -> int

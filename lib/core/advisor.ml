@@ -41,8 +41,8 @@ let find_victims ~line_bytes (nest : Loopir.Loop_nest.t) =
     nest.Loopir.Loop_nest.refs
 
 let advise ?(arch = Archspec.Arch.paper_machine)
-    ?(chunks = [ 1; 2; 4; 8; 16; 32; 64 ]) ?(threshold = 0.05)
-    ?(pred_runs = 16) ?domains ~threads ~func checked =
+    ?(chunks = [ 1; 2; 4; 8; 16; 32; 64 ]) ?domains ~threads ~func checked =
+  let threshold = 0.05 and pred_runs = 16 in
   let nest =
     Loopir.Lower.lower checked ~func ~params:[ ("num_threads", threads) ]
   in

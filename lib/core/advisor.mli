@@ -34,16 +34,15 @@ val find_victims : line_bytes:int -> Loopir.Loop_nest.t -> victim list
 val advise :
   ?arch:Archspec.Arch.t ->
   ?chunks:int list ->
-  ?threshold:float ->
-  ?pred_runs:int ->
   ?domains:int ->
   threads:int ->
   func:string ->
   Minic.Typecheck.checked ->
   advice
-(** Defaults: chunks [1;2;4;8;16;32;64], threshold 0.05, 16 prediction
-    runs.  The candidate sweep runs through {!Par_sweep.map} ([domains]
-    defaults to the recommended domain count; results are identical at
-    any domain count). *)
+(** Predicts each candidate chunk (default [1;2;4;8;16;32;64]) from 16
+    chunk runs and recommends the smallest whose count falls to 5% of the
+    first's.  The candidate sweep runs through {!Par_sweep.map}
+    ([domains] defaults to the recommended domain count; results are
+    identical at any domain count). *)
 
 val pp : Format.formatter -> advice -> unit

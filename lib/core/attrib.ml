@@ -143,6 +143,69 @@ let top_pairs ?(n = 3) t =
          let writer_ref, victim_ref, writer_tid, victim_tid = unpack t key in
          { writer_ref; victim_ref; writer_tid; victim_tid; count })
 
+type ref_pair = {
+  rp_writer : int;
+  rp_victim : int;
+  rp_count : int;
+  rp_threads : (int * int * int) list;
+}
+
+let ref_pairs t =
+  (* (writer_ref, victim_ref) -> (count, thread pairs); each histogram
+     key is one thread pair of one reference pair *)
+  let tbl = Hashtbl.create 16 in
+  fold_pairs t ~init:()
+    ~f:(fun () ~writer_ref ~victim_ref ~writer_tid ~victim_tid ~count ->
+      let key = (writer_ref, victim_ref) in
+      let c, tps =
+        Option.value ~default:(0, []) (Hashtbl.find_opt tbl key)
+      in
+      Hashtbl.replace tbl key
+        (c + count, (writer_tid, victim_tid, count) :: tps));
+  (* descending count, then ascending key *)
+  let heavier c1 k1 c2 k2 =
+    let c = compare c2 c1 in
+    if c <> 0 then c else compare k1 k2
+  in
+  Hashtbl.fold
+    (fun (w, v) (c, tps) acc ->
+      {
+        rp_writer = w;
+        rp_victim = v;
+        rp_count = c;
+        rp_threads =
+          List.sort
+            (fun (wt1, vt1, c1) (wt2, vt2, c2) ->
+              heavier c1 (wt1, vt1) c2 (wt2, vt2))
+            tps;
+      }
+      :: acc)
+    tbl []
+  |> List.sort (fun p q ->
+         heavier p.rp_count (p.rp_writer, p.rp_victim) q.rp_count
+           (q.rp_writer, q.rp_victim))
+
+let sentence ~refs ~total p =
+  let wt, vt, _ = List.hd p.rp_threads in
+  let repr i = refs.(i).Loopir.Array_ref.repr in
+  let writer_part =
+    if p.rp_writer >= 0 then
+      Printf.sprintf "%s written by T%d" (repr p.rp_writer) wt
+    else Printf.sprintf "a write by T%d" wt
+  in
+  let more =
+    match List.length p.rp_threads with
+    | n when n <= 1 -> ""
+    | n -> Printf.sprintf " and %d more thread pair(s)" (n - 1)
+  in
+  Printf.sprintf "%.1f%% of FS cases: %s invalidates %s %s by T%d (%d \
+                  case(s)%s)"
+    (100. *. float_of_int p.rp_count /. float_of_int total)
+    writer_part (repr p.rp_victim)
+    (if Loopir.Array_ref.is_write refs.(p.rp_victim) then "written"
+     else "read")
+    vt p.rp_count more
+
 let trace_len t = t.len
 let trace_dropped t = t.total - t.len
 

@@ -93,6 +93,29 @@ val top_pairs : ?n:int -> t -> pair_stat list
 (** The [n] (default 3) heaviest histogram entries, by descending count;
     ties break deterministically (ascending packed key). *)
 
+type ref_pair = {
+  rp_writer : int;  (** writing reference, [-1] when unknown *)
+  rp_victim : int;  (** victim reference *)
+  rp_count : int;  (** cases over all thread pairs *)
+  rp_threads : (int * int * int) list;
+      (** (writer thread, victim thread, count), never empty *)
+}
+(** The histogram folded to one (writer reference, victim reference)
+    pair. *)
+
+val ref_pairs : t -> ref_pair list
+(** Every reference pair, by descending count, ties broken by ascending
+    (writer, victim) reference; each pair's [rp_threads] by descending
+    count, ties broken by ascending (writer, victim) thread.  The first
+    thread pair is the pair's representative. *)
+
+val sentence : refs:Loopir.Array_ref.t array -> total:int -> ref_pair -> string
+(** ["X% of FS cases: W written by Ta invalidates V read by Tb (n
+    case(s) and k more thread pair(s))"] — the pair's share of [total]
+    cases, named through [refs] (indexed as {!create}'s [nrefs]) at its
+    representative thread pair: the line of [fsdetect explain]'s
+    reference-pair table and of a lint finding's [top:] list. *)
+
 (** {2 Trace ring} *)
 
 val trace_len : t -> int

@@ -78,6 +78,24 @@ type region = {
   run_span : int;  (* lockstep steps per chunk run *)
 }
 
+(* Which dispatcher drives the parallel loop: an explicit config override
+   wins; otherwise a dynamic/guided pragma is replayed at seed 0, and
+   static keeps the closed-form round-robin deal (the paper's §III path). *)
+let dispatch cfg (nest : Loopir.Loop_nest.t) =
+  match cfg.sched with
+  | Some _ as s -> s
+  | None -> (
+      let granule () =
+        match cfg.chunk with
+        | Some c -> c
+        | None -> Option.value ~default:1 (Loopir.Loop_nest.chunk_spec nest)
+      in
+      match Loopir.Loop_nest.schedule_kind nest with
+      | `Static -> None
+      | `Dynamic -> Some (Ompsched.Dispatch.Dynamic { chunk = granule () }, 0)
+      | `Guided ->
+          Some (Ompsched.Dispatch.Guided { min_chunk = granule () }, 0))
+
 (* bumped from every domain of a Par_sweep *)
 let runs = Atomic.make 0
 let run_count () = Atomic.get runs
@@ -104,26 +122,7 @@ let run ?max_chunk_runs ?(record_samples = false) ?(engine = (`Fast : engine))
     | Some c -> Some c
     | None -> Loopir.Loop_nest.chunk_spec nest
   in
-  (* Which dispatcher drives the region: an explicit config override wins;
-     otherwise a dynamic/guided pragma is replayed at seed 0, and static
-     keeps the closed-form round-robin deal (the paper's §III path). *)
-  let dispatch =
-    match cfg.sched with
-    | Some _ as s -> s
-    | None -> (
-        match Loopir.Loop_nest.schedule_kind nest with
-        | `Static -> None
-        | `Dynamic ->
-            Some
-              ( Ompsched.Dispatch.Dynamic
-                  { chunk = Option.value ~default:1 chunk_spec },
-                0 )
-        | `Guided ->
-            Some
-              ( Ompsched.Dispatch.Guided
-                  { min_chunk = Option.value ~default:1 chunk_spec },
-                0 ))
-  in
+  let dispatch = dispatch cfg nest in
   let idx = Array.make nloops 0 in
   (* variable lookup, precompiled: each name resolves once to either a
      parameter value or a loop slot read from [idx], instead of walking

@@ -42,6 +42,14 @@ val default_config :
 (** Paper machine, pragma chunk, L1 stack, no invalidation;
     [params = \[("num_threads", threads)\]]. *)
 
+val dispatch :
+  config -> Loopir.Loop_nest.t -> (Ompsched.Dispatch.kind * int) option
+(** The dispatcher {!run} drives the parallel loop with, as (kind, replay
+    seed): [config.sched] when given; otherwise a [schedule(dynamic)] or
+    [schedule(guided)] pragma replayed at seed 0, its granule
+    [config.chunk], else the pragma's chunk, else 1; [None] for the
+    static deal. *)
+
 type run_sample = { chunk_run : int; cumulative_fs : int }
 
 type engine = [ `Fast | `Reference ]

@@ -27,30 +27,15 @@ let analyze ?(mode = Full) ?(arch = Archspec.Arch.paper_machine)
   let n_fs = count ~mode cfg_fs ~nest ~checked in
   let n_nfs = count ~mode cfg_nfs ~nest ~checked in
   let env v = List.assoc_opt v params in
-  let nest_fs_chunk =
-    (* the Eq. 1 breakdown must describe the FS-chunk execution *)
-    {
-      nest with
-      Loopir.Loop_nest.pragma =
-        {
-          nest.Loopir.Loop_nest.pragma with
-          Minic.Ast.schedule = Some (Minic.Ast.Sched_static (Some fs_chunk));
-        };
-    }
-  in
+  (* the Eq. 1 breakdown must describe the FS-chunk execution *)
   let breakdown =
     Costmodel.Total_cost.compute ~fs_cost_factor ~contention ~arch ~threads
-      ~fs_cases:n_fs ~env ~checked nest_fs_chunk
-  in
-  let excess_cycles =
-    float_of_int (max 0 (n_fs - n_nfs))
-    *. float_of_int arch.Archspec.Arch.coherence_latency
-    *. fs_cost_factor
-    /. float_of_int threads
+      ~fs_cases:n_fs ~env ~checked
+      (Loopir.Loop_nest.with_static_chunk nest fs_chunk)
   in
   let percent =
-    if breakdown.Costmodel.Total_cost.total_cycles <= 0. then 0.
-    else 100. *. excess_cycles /. breakdown.Costmodel.Total_cost.total_cycles
+    Costmodel.Total_cost.overhead_percent ~fs_cost_factor ~arch ~threads ~n_fs
+      ~n_nfs breakdown
   in
   { threads; fs_chunk; nfs_chunk; n_fs; n_nfs; percent; breakdown }
 

@@ -17,8 +17,15 @@ type breakdown = {
    2..48 threads (bench/main.exe --only calib reproduces the fit). *)
 let default_fs_cost_factor = 0.6
 
-let compute ?(overhead = Ompsched.Overhead.default)
-    ?(fs_cost_factor = default_fs_cost_factor) ?(contention = false)
+(* each FS case costs an effective fraction of one coherence miss; stalls
+   spread across the team *)
+let fs_cycles ~fs_cost_factor ~(arch : Archspec.Arch.t) ~threads cases =
+  float_of_int cases
+  *. float_of_int arch.Archspec.Arch.coherence_latency
+  *. fs_cost_factor
+  /. float_of_int threads
+
+let compute ?(fs_cost_factor = default_fs_cost_factor) ?(contention = false)
     ?cache_cycles:provided_cache_cycles ~(arch : Archspec.Arch.t) ~threads
     ~fs_cases ~env ~checked (nest : Loopir.Loop_nest.t) =
   let trips = Cache_model.trips_of_nest ~env nest in
@@ -65,20 +72,16 @@ let compute ?(overhead = Ompsched.Overhead.default)
   let parallel_overhead_cycles =
     float_of_int
       (regions
-      * Ompsched.Overhead.parallel_overhead_cycles overhead ~threads
-          ~chunks_per_thread)
+      * Ompsched.Overhead.parallel_overhead_cycles Ompsched.Overhead.default
+          ~threads ~chunks_per_thread)
   in
   let loop_overhead_cycles =
     float_of_int
-      (Ompsched.Overhead.loop_overhead_cycles overhead ~iters:iters_per_thread)
+      (Ompsched.Overhead.loop_overhead_cycles Ompsched.Overhead.default
+         ~iters:iters_per_thread)
   in
   let false_sharing_cycles =
-    (* each FS case costs an effective fraction of one coherence miss;
-       stalls spread across the team *)
-    float_of_int fs_cases
-    *. float_of_int arch.Archspec.Arch.coherence_latency
-    *. fs_cost_factor
-    /. float_of_int threads
+    fs_cycles ~fs_cost_factor ~arch ~threads fs_cases
   in
   let total_cycles =
     machine_cycles +. cache_cycles +. tlb_cycles +. contention_cycles
@@ -102,6 +105,12 @@ let compute ?(overhead = Ompsched.Overhead.default)
 let fs_percent ~fs =
   if fs.total_cycles <= 0. then 0.
   else 100. *. fs.false_sharing_cycles /. fs.total_cycles
+
+let overhead_percent ~fs_cost_factor ~arch ~threads ~n_fs ~n_nfs b =
+  let excess =
+    fs_cycles ~fs_cost_factor ~arch ~threads (max 0 (n_fs - n_nfs))
+  in
+  if b.total_cycles <= 0. then 0. else 100. *. excess /. b.total_cycles
 
 type eq1 = {
   loop_c : float;

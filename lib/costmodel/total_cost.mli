@@ -36,7 +36,6 @@ val default_fs_cost_factor : float
     simulator (see DESIGN.md), then held fixed for all kernels. *)
 
 val compute :
-  ?overhead:Ompsched.Overhead.t ->
   ?fs_cost_factor:float ->
   ?contention:bool ->
   ?cache_cycles:float ->
@@ -56,6 +55,20 @@ val compute :
 
 val fs_percent : fs:breakdown -> float
 (** Share of the total time attributed to false sharing, in percent. *)
+
+val overhead_percent :
+  fs_cost_factor:float ->
+  arch:Archspec.Arch.t ->
+  threads:int ->
+  n_fs:int ->
+  n_nfs:int ->
+  breakdown ->
+  float
+(** Paper Eq. 5: the cycles the FS-prone chunking's [n_fs] cases cost
+    beyond the optimized chunking's [n_nfs] — each case charged as in
+    {!compute}'s false-sharing term — as a percentage of the FS-prone
+    chunking's [breakdown] total ([0.] when that total is not
+    positive). *)
 
 type eq1 = {
   loop_c : float;  (** parallel + loop overhead *)

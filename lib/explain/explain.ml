@@ -2,21 +2,6 @@
    filled by Fsmodel.Model.run; everything here is post-processing, so
    clarity wins over allocation discipline. *)
 
-type ref_info = {
-  index : int;
-  repr : string;
-  base : string;
-  write : bool;
-  span : Minic.Span.t;
-}
-
-type pair_agg = {
-  writer : ref_info option;
-  victim : ref_info;
-  pair_count : int;
-  thread_pairs : (int * int * int) list;
-}
-
 type t = {
   uri : string;
   func : string;
@@ -27,8 +12,8 @@ type t = {
       (* (replayed schedule kind, seed count) when nondeterministic *)
   engine_fs : int;
   total : int;
-  refs : ref_info array;
-  pairs : pair_agg list;
+  refs : Loopir.Array_ref.t array;
+  pairs : Fsmodel.Attrib.ref_pair list;
   arrays : (string * string * int) list;
   lines : (int * int) list;
   line_bytes : int;
@@ -37,15 +22,6 @@ type t = {
   verdicts : string list;
   cost : string list;
 }
-
-let ref_info_of i (r : Loopir.Array_ref.t) =
-  {
-    index = i;
-    repr = r.Loopir.Array_ref.repr;
-    base = r.Loopir.Array_ref.base;
-    write = Loopir.Array_ref.is_write r;
-    span = r.Loopir.Array_ref.span;
-  }
 
 let sum_desc tbl =
   (* Hashtbl of key -> count, descending count then ascending key *)
@@ -63,50 +39,16 @@ let aggregate ~uri ~func ~threads ~chunk ~engine ~sched ~engine_fs ~refs
          "Explain.analyze: conservation broken — engine counts %d, recorder \
           holds %d"
          engine_fs total);
-  (* (writer_ref, victim_ref) -> (count, thread-pair table) *)
-  let ptbl : (int * int, int ref * (int * int, int) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let pairs = Fsmodel.Attrib.ref_pairs recorder in
   let atbl : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
-  Fsmodel.Attrib.fold_pairs recorder ~init:()
-    ~f:(fun () ~writer_ref ~victim_ref ~writer_tid ~victim_tid ~count ->
-      let key = (writer_ref, victim_ref) in
-      let tot, tp =
-        match Hashtbl.find_opt ptbl key with
-        | Some x -> x
-        | None ->
-            let x = (ref 0, Hashtbl.create 8) in
-            Hashtbl.add ptbl key x;
-            x
-      in
-      tot := !tot + count;
-      let tkey = (writer_tid, victim_tid) in
-      Hashtbl.replace tp tkey
-        (count + Option.value ~default:0 (Hashtbl.find_opt tp tkey));
-      let wbase =
-        if writer_ref < 0 then "?" else refs.(writer_ref).base
-      in
-      let akey = (wbase, refs.(victim_ref).base) in
+  List.iter
+    (fun (p : Fsmodel.Attrib.ref_pair) ->
+      let base i = refs.(i).Loopir.Array_ref.base in
+      let wbase = if p.rp_writer < 0 then "?" else base p.rp_writer in
+      let akey = (wbase, base p.rp_victim) in
       Hashtbl.replace atbl akey
-        (count + Option.value ~default:0 (Hashtbl.find_opt atbl akey)));
-  let pairs =
-    Hashtbl.fold
-      (fun (wr, vr) (tot, tp) acc ->
-        ( {
-            writer = (if wr < 0 then None else Some refs.(wr));
-            victim = refs.(vr);
-            pair_count = !tot;
-            thread_pairs =
-              List.map (fun ((wt, vt), c) -> (wt, vt, c)) (sum_desc tp);
-          },
-          (wr, vr) )
-        :: acc)
-      ptbl []
-    |> List.sort (fun ((a : pair_agg), k1) (b, k2) ->
-           let c = compare b.pair_count a.pair_count in
-           if c <> 0 then c else compare k1 k2)
-    |> List.map fst
-  in
+        (p.rp_count + Option.value ~default:0 (Hashtbl.find_opt atbl akey)))
+    pairs;
   let arrays = List.map (fun ((w, v), c) -> (w, v, c)) (sum_desc atbl) in
   let lines =
     Fsmodel.Attrib.fold_lines recorder ~init:[] ~f:(fun acc ~line ~count ->
@@ -137,10 +79,7 @@ let aggregate ~uri ~func ~threads ~chunk ~engine ~sched ~engine_fs ~refs
 
 let analyze ?(engine = (`Fast : Fsmodel.Model.engine)) ?trace_cap ?sched ~uri
     ~func (cfg : Fsmodel.Model.config) ~nest ~checked =
-  let refs =
-    Array.of_list
-      (List.mapi ref_info_of (nest : Loopir.Loop_nest.t).Loopir.Loop_nest.refs)
-  in
+  let refs = Array.of_list (nest : Loopir.Loop_nest.t).Loopir.Loop_nest.refs in
   let recorder =
     Fsmodel.Attrib.create ?trace_cap ~threads:cfg.Fsmodel.Model.threads
       ~nrefs:(Array.length refs) ()
@@ -234,7 +173,10 @@ let conservation_ok t =
   && Fsmodel.Attrib.fold_cells t.recorder ~init:0
        ~f:(fun a ~line:_ ~tid:_ ~count -> a + count)
      = t.total
-  && List.fold_left (fun a p -> a + p.pair_count) 0 t.pairs = t.total
+  && List.fold_left
+       (fun a (p : Fsmodel.Attrib.ref_pair) -> a + p.rp_count)
+       0 t.pairs
+     = t.total
   && List.fold_left (fun a (_, _, c) -> a + c) 0 t.arrays = t.total
   && List.fold_left (fun a (_, c) -> a + c) 0 t.lines = t.total
 
@@ -244,8 +186,6 @@ let conservation_ok t =
 
 let pct t n =
   if t.total = 0 then 0.0 else 100.0 *. float_of_int n /. float_of_int t.total
-
-let access_word (r : ref_info) = if r.write then "written" else "read"
 
 let chunk_str = function
   | Some c -> string_of_int c
@@ -267,24 +207,7 @@ let line_label t line =
   | Some (name, off) -> Printf.sprintf "%d (%s +%d)" line name off
   | None -> string_of_int line
 
-let pair_sentence t (p : pair_agg) =
-  let wt, vt =
-    match p.thread_pairs with (wt, vt, _) :: _ -> (wt, vt) | [] -> (0, 0)
-  in
-  let writer_part =
-    match p.writer with
-    | Some w -> Printf.sprintf "%s written by T%d" w.repr wt
-    | None -> Printf.sprintf "a write by T%d" wt
-  in
-  let more =
-    match List.length p.thread_pairs with
-    | 0 | 1 -> ""
-    | n -> Printf.sprintf " and %d more thread pair(s)" (n - 1)
-  in
-  Printf.sprintf "%.1f%% of FS cases: %s invalidates %s %s by T%d (%d \
-                  case(s)%s)"
-    (pct t p.pair_count) writer_part p.victim.repr (access_word p.victim) vt
-    p.pair_count more
+let pair_sentence t p = Fsmodel.Attrib.sentence ~refs:t.refs ~total:t.total p
 
 (* ------------------------------------------------------------------ *)
 (* Text renderer (annotated source)                                    *)
@@ -365,7 +288,9 @@ let to_text ?source ?(top = 3) t =
         in
         List.iter
           (fun p ->
-            let s = p.victim.span in
+            let s =
+              t.refs.(p.Fsmodel.Attrib.rp_victim).Loopir.Array_ref.span
+            in
             if not (Minic.Span.is_none s) then
               Hashtbl.replace by_line s.Minic.Span.line
                 ((s.Minic.Span.col, pair_sentence t p)
@@ -487,7 +412,7 @@ let heatmap ?(rows = 24) ?(cols = 16) t =
 let trace_json t =
   let open Analysis.Json in
   let rec_ = t.recorder in
-  let repr_of i = if i < 0 then "?" else t.refs.(i).repr in
+  let repr_of i = if i < 0 then "?" else t.refs.(i).Loopir.Array_ref.repr in
   let meta =
     Obj
       [

@@ -22,23 +22,6 @@
     {!analyze} (which raises on a mismatch) as well as by the test suite
     and the fuzzing oracle matrix. *)
 
-type ref_info = {
-  index : int;  (** compiled reference index ({!Fsmodel.Ownership}) *)
-  repr : string;  (** source rendering, e.g. ["a[i][j]"] *)
-  base : string;  (** base array the reference is rooted at *)
-  write : bool;
-  span : Minic.Span.t;
-}
-
-type pair_agg = {
-  writer : ref_info option;
-      (** [None] for the unknown writer (never produced by the engine) *)
-  victim : ref_info;
-  pair_count : int;
-  thread_pairs : (int * int * int) list;
-      (** (writer thread, victim thread, count), descending count *)
-}
-
 type t = {
   uri : string;  (** what was analyzed, for rendering *)
   func : string;
@@ -51,8 +34,10 @@ type t = {
           seed set *)
   engine_fs : int;  (** the engine's [fs_cases] (summed over seeds) *)
   total : int;  (** recorded events; equals [engine_fs] *)
-  refs : ref_info array;
-  pairs : pair_agg list;  (** descending count *)
+  refs : Loopir.Array_ref.t array;
+      (** the nest's references, by compiled index ({!Fsmodel.Ownership}) *)
+  pairs : Fsmodel.Attrib.ref_pair list;
+      (** {!Fsmodel.Attrib.ref_pairs}: descending count *)
   arrays : (string * string * int) list;
       (** (writer base, victim base, count), descending *)
   lines : (int * int) list;  (** (cache line, count), descending *)

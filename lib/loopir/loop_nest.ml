@@ -18,12 +18,6 @@ type t = {
 let depth t = List.length t.loops
 let parallel_loop t = List.nth t.loops t.parallel_depth
 
-let inner_loops t =
-  List.filteri (fun i _ -> i > t.parallel_depth) t.loops
-
-let outer_loops t =
-  List.filteri (fun i _ -> i < t.parallel_depth) t.loops
-
 let trip_count loop ~env =
   let lo = Expr_eval.eval env loop.lower in
   let hi = Expr_eval.eval env loop.upper_excl in
@@ -90,6 +84,16 @@ let chunk_spec t =
   | Some (Minic.Ast.Sched_guided None)
   | None ->
       None
+
+let with_static_chunk t c =
+  {
+    t with
+    pragma =
+      {
+        t.pragma with
+        Minic.Ast.schedule = Some (Minic.Ast.Sched_static (Some c));
+      };
+  }
 
 let chunk_size t = Option.value ~default:1 (chunk_spec t)
 

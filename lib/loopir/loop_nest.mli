@@ -24,12 +24,6 @@ type t = {
 
 val depth : t -> int
 val parallel_loop : t -> loop
-val inner_loops : t -> loop list
-(** Loops strictly below the parallel level, outermost first. *)
-
-val outer_loops : t -> loop list
-(** Sequential loops strictly above the parallel level. *)
-
 val trip_count : loop -> env:(string -> int option) -> int
 (** Number of iterations of one loop under [env] (which must bind parameters
     and any outer induction variables appearing in the bounds); 0 when the
@@ -49,6 +43,10 @@ val chunk_spec : t -> int option
     without a chunk (or no schedule clause), which OpenMP distributes in
     contiguous per-thread blocks — resolve with
     {!Ompsched.Schedule.block_chunk} once the trip count is known. *)
+
+val with_static_chunk : t -> int -> t
+(** The nest with its pragma's schedule rewritten to
+    [schedule(static, c)] — the chunking a cost is asked for. *)
 
 val chunk_size : t -> int
 (** [chunk_spec] with the block case collapsed to 1 — only meaningful for

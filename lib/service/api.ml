@@ -70,29 +70,40 @@ let lower_all store ~digest ~checked ~func ~params =
          V_nests (Loopir.Lower.lower_all checked ~func ~params)))
 
 (* ------------------------------------------------------------------ *)
-(* Error translation (the CLI's `wrap`, as data)                       *)
+(* Error translation (shared with the CLI's `wrap`)                    *)
 (* ------------------------------------------------------------------ *)
+
+let error_message = function
+  | Minic.Parser.Error (m, l) ->
+      Some (Printf.sprintf "parse error (line %d): %s\n" l m)
+  | Minic.Lexer.Error (m, l) ->
+      Some (Printf.sprintf "lex error (line %d): %s\n" l m)
+  | Minic.Preproc.Error (m, l) ->
+      Some (Printf.sprintf "preprocessor error (line %d): %s\n" l m)
+  | Minic.Typecheck.Type_error m -> Some (Printf.sprintf "type error: %s\n" m)
+  | Loopir.Lower.Lower_error m ->
+      Some (Printf.sprintf "analysis error: %s\n" m)
+  | Loopir.Expr_eval.Unbound v ->
+      Some
+        (Printf.sprintf
+           "analysis error: unbound identifier '%s' (bind it with -p \
+            %s=VAL)\n"
+           v v)
+  | Division_by_zero ->
+      Some "analysis error: a loop bound divides by zero\n"
+  | Loopir.Expr_eval.Not_integer what ->
+      Some
+        (Printf.sprintf
+           "analysis error: a loop bound is not an integer expression (%s)\n"
+           what)
+  | _ -> None
 
 let fail buf msg = { output = Buffer.contents buf; err = msg; code = 1 }
 
 let guard buf f =
   try f () with
-  | Minic.Parser.Error (m, l) ->
-      fail buf (Printf.sprintf "parse error (line %d): %s\n" l m)
-  | Minic.Lexer.Error (m, l) ->
-      fail buf (Printf.sprintf "lex error (line %d): %s\n" l m)
-  | Minic.Preproc.Error (m, l) ->
-      fail buf (Printf.sprintf "preprocessor error (line %d): %s\n" l m)
-  | Minic.Typecheck.Type_error m ->
-      fail buf (Printf.sprintf "type error: %s\n" m)
-  | Loopir.Lower.Lower_error m ->
-      fail buf (Printf.sprintf "analysis error: %s\n" m)
-  | Loopir.Expr_eval.Unbound v ->
-      fail buf
-        (Printf.sprintf
-           "analysis error: unbound identifier '%s' (bind it with -p \
-            %s=VAL)\n"
-           v v)
+  | e -> (
+      match error_message e with Some msg -> fail buf msg | None -> raise e)
 
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)

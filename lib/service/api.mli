@@ -50,5 +50,13 @@ val exec : store -> Req.t -> payload
     come back as payloads with a non-zero [code] and the CLI's
     diagnostic in [err]. *)
 
+val error_message : exn -> string option
+(** The diagnostic (newline-terminated) for an exception that is the
+    input's fault — parse, lex, preprocessor and type errors, loops that
+    cannot be lowered, and loop bounds that do not evaluate: unbound
+    identifiers, division by zero, non-integer expressions.  [exec]
+    answers these with exit code [1] and this text on stderr; [None]
+    for anything else. *)
+
 val stats_json : store -> Analysis.Json.t
 (** Cache counters as a JSON object (the serve ["cache_stats"] method). *)

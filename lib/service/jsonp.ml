@@ -272,4 +272,3 @@ let member key = function
 let to_string_opt = function Json.Str s -> Some s | _ -> None
 let to_int_opt = function Json.Int i -> Some i | _ -> None
 let to_bool_opt = function Json.Bool b -> Some b | _ -> None
-let to_list_opt = function Json.List l -> Some l | _ -> None

@@ -29,4 +29,3 @@ val member : string -> Analysis.Json.t -> Analysis.Json.t option
 val to_string_opt : Analysis.Json.t -> string option
 val to_int_opt : Analysis.Json.t -> int option
 val to_bool_opt : Analysis.Json.t -> bool option
-val to_list_opt : Analysis.Json.t -> Analysis.Json.t list option

@@ -134,11 +134,6 @@ let source_text source =
           Error (Printf.sprintf "kernel %s has no parametric variant" k)
       | None -> Error (unknown_kernel k))
 
-let source_digest source =
-  Result.map
-    (fun (_, content) -> Digest.to_hex (Digest.string content))
-    (source_text source)
-
 let params_key params =
   String.concat ";"
     (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) params)
@@ -236,15 +231,6 @@ let cache_key t =
         (Digest.to_hex (Digest.string uri))
         (arch_key t.arch) (kind_key t.kind))
     (source_text t.source)
-
-let method_name = function
-  | Analyze _ -> "analyze"
-  | Lint _ -> "lint"
-  | Explain _ -> "explain"
-  | Advise _ -> "advise"
-  | Eliminate _ -> "eliminate"
-  | Fix _ -> "fix"
-  | Dump _ -> "dump"
 
 (* ------------------------------------------------------------------ *)
 (* JSON decoding                                                       *)

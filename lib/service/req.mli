@@ -103,17 +103,9 @@ val source_text : source -> (string * string, string) result
     the mini-C text.  [Error msg] when a kernel name is unknown or has
     no parametric variant; [msg] matches the CLI diagnostic. *)
 
-val source_digest : source -> (string, string) result
-(** Hex digest of the source {e content} (kernels resolve to their
-    bundled text).  [Error msg] when a kernel name is unknown or has no
-    parametric variant; [msg] matches the CLI diagnostic. *)
-
 val cache_key : t -> (string, string) result
 (** The response-stage cache key (kind tag + source digest + arch key +
     every option that affects output bytes). *)
-
-val method_name : kind -> string
-(** Protocol method the kind answers to ("analyze", "lint", ...). *)
 
 val of_json : meth:string -> Analysis.Json.t -> (t, string) result
 (** Decode JSON-RPC [params] for method [meth].  Source is given as

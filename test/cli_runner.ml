@@ -56,6 +56,14 @@ let scenarios =
        clean diagnostic (and exit 1) as analyze *)
     (With_stderr, "fix fixtures/struct_adjacent.c");
     (With_stderr, "fix fixtures/parametric_stride.c --func scale");
+    (* loop bounds that do not evaluate: a division by zero and a read
+       from memory are analysis errors (exit 1), not internal ones *)
+    (With_stderr, "explain -p k=0 fixtures/zero_divisor.c");
+    (With_stderr, "explain fixtures/memory_bound.c");
+    (With_stderr, "analyze fixtures/memory_bound.c");
+    (With_stderr, "advise fixtures/memory_bound.c");
+    (With_stderr, "fix fixtures/memory_bound.c");
+    (With_stderr, "eliminate fixtures/memory_bound.c");
   ]
 
 let () =

@@ -111,8 +111,8 @@ let transcript exe buf =
   req (request (int_id 15) "batch" []);
   (* deterministic counters after a deterministic script *)
   req (request (int_id 16) "cache_stats" []);
-  (* an analysis that raises (a loop bound divides by zero) is answered
-     with an internal error, and a chunk below 1 is a bad parameter *)
+  (* a loop bound that divides by zero is an analysis error payload
+     (exit code 1), and a chunk below 1 is a bad parameter *)
   req
     (request (int_id 18) "explain"
        [

@@ -183,7 +183,9 @@ let contains_substring s sub =
   go 0
 
 (* Lint's FS findings carry the top-3 attribution sentences; races and
-   parametric findings do not. *)
+   parametric findings do not.  Where a kernel's FS findings all share
+   one base, those sentences are explain's reference-pair lines at the
+   same configuration, word for word and in the same order. *)
 let test_lint_attribution () =
   let k = Option.get (Kernels.Registry.find "stencil1d") in
   let checked = Kernels.Kernel.parse k in
@@ -204,7 +206,78 @@ let test_lint_attribution () =
           check Alcotest.bool "sentence mentions FS cases" true
             (contains_substring s "of FS cases"))
         f.Analysis.Diag.attribution)
-    fs
+    fs;
+  (* the first (at most 3) lines of explain's reference-pair section *)
+  let explain_top text =
+    let rec section = function
+      | "reference pairs (by share of all cases):" :: rest -> rest
+      | _ :: rest -> section rest
+      | [] -> []
+    in
+    let rec sentences n = function
+      | l :: rest
+        when n > 0
+             && String.starts_with ~prefix:"  " l
+             && not (String.starts_with ~prefix:"  ..." l) ->
+          String.sub l 2 (String.length l - 2) :: sentences (n - 1) rest
+      | _ -> []
+    in
+    sentences 3 (section (String.split_on_char '\n' text))
+  in
+  let opts = { Analysis.Lint.default_options with fixits = false } in
+  let threads = opts.Analysis.Lint.threads in
+  let compared =
+    List.filter
+      (fun (k : Kernels.Kernel.t) ->
+        let checked = Kernels.Kernel.parse k in
+        let func = k.Kernels.Kernel.func in
+        let fs =
+          List.filter
+            (fun (f : Analysis.Diag.finding) ->
+              f.Analysis.Diag.rule = "fs/line-conflict")
+            (Analysis.Lint.run ~opts ~uri:"k" checked).Analysis.Diag.findings
+        in
+        let params = [ ("num_threads", threads) ] in
+        let nest = Loopir.Lower.lower checked ~func ~params in
+        let bases =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun (p : Analysis.Depend.pair) ->
+                 if p.Analysis.Depend.verdict = Analysis.Depend.Line_conflict
+                 then Some p.Analysis.Depend.a.Loopir.Array_ref.base
+                 else None)
+               (Analysis.Depend.pairs
+                  ~line_bytes:
+                    (Archspec.Arch.line_bytes opts.Analysis.Lint.arch)
+                  ~params nest))
+        in
+        if fs = [] || List.length bases <> 1 then false
+        else begin
+          let cfg =
+            Fsmodel.Model.default_config ~arch:opts.Analysis.Lint.arch ~threads
+              ()
+          in
+          let a = Explain.analyze ~uri:"k" ~func cfg ~nest ~checked in
+          let top = explain_top (Explain.to_text a) in
+          List.iter
+            (fun (f : Analysis.Diag.finding) ->
+              check
+                Alcotest.(list string)
+                (k.Kernels.Kernel.name ^ ": lint top: = explain pairs")
+                top f.Analysis.Diag.attribution)
+            fs;
+          true
+        end)
+      (Kernels.Registry.all () @ Kernels.Registry.micros ())
+  in
+  check
+    Alcotest.(list string)
+    "kernels compared"
+    [
+      "heat"; "linear_regression"; "saxpy"; "stencil1d"; "matvec";
+      "transpose"; "counter_slots"; "bytes_adjacent"; "struct_xy"; "histogram";
+    ]
+    (List.map (fun (k : Kernels.Kernel.t) -> k.Kernels.Kernel.name) compared)
 
 let () =
   Alcotest.run "explain"
