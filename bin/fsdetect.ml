@@ -394,7 +394,18 @@ let kernel_or_die k =
         (String.concat ", " (Kernels.Registry.names ()));
       exit 1
 
+(* A line's holders are one int in the simulator's directory, which caps
+   the simulated team; say so instead of failing inside the model. *)
+let simulated_threads_or_die threads =
+  if threads > Cachesim.Coherence.max_cores then begin
+    Printf.eprintf
+      "--threads %d: the simulated multicore has at most %d cores\n" threads
+      Cachesim.Coherence.max_cores;
+    exit 2
+  end
+
 let simulate kernel threads chunk window schedule seed =
+  simulated_threads_or_die threads;
   let sched, chunk =
     match sched_of_flags ~schedule ~seeds:1 ~chunk with
     | Some k, chunk -> (Some (k, seed), chunk)
@@ -505,6 +516,7 @@ let fix_cmd =
 (* ------------------------------------------------------------------ *)
 
 let compare_detectors kernel threads chunks =
+  simulated_threads_or_die threads;
   wrap @@ fun () ->
   let k = kernel_or_die kernel in
   let chunks = match chunks with [] -> [ 1; 2; 4; 8; 16; 32 ] | l -> l in

@@ -7,11 +7,12 @@
     associative LRU cache.  All operations are O(1) except {!distance} and
     {!to_alist}.
 
-    Entries live in slot-indexed int arrays (key, previous, next) plus one
-    payload array (absent while every payload is the first one stored),
-    found through an {!Int_table} index; removed slots are reused and a
-    stack at capacity reuses the evicted slot for the incoming key.  The
-    arrays grow with the resident set, never past the capacity.
+    Entries live in a {!Slot_list} (slot-indexed key, previous and next
+    int arrays) plus one payload array (absent while every payload is the
+    first one stored), found through an {!Int_table} index; removed slots
+    are reused and a stack at capacity reuses the evicted slot for the
+    incoming key.  The arrays grow with the resident set, never past the
+    capacity.
     {!promote}, {!add}, {!touch}, {!access_int}, {!get} and {!remove_key}
     look the key up once and allocate nothing in steady state.
 

@@ -11,10 +11,16 @@ type measurement = {
 
 let overhead = Ompsched.Overhead.default
 
+let coherence ~arch ~threads checked =
+  let bytes = Loopir.Layout.total_bytes (Loopir.Layout.make checked) in
+  let line = Archspec.Arch.line_bytes arch in
+  Cachesim.Coherence.create ~cores:threads ~lines:((bytes + line - 1) / line)
+    arch
+
 let measure ?(arch = Archspec.Arch.paper_machine) ?(interleave_window = 4)
     ?(run_init = true) ?chunk ?sched ~threads (kernel : Kernels.Kernel.t) =
   let checked = Kernels.Kernel.parse kernel in
-  let coherence = Cachesim.Coherence.create ~cores:threads arch in
+  let coherence = coherence ~arch ~threads checked in
   let cycles = Array.make threads 0. in
   let timing = ref false in
   let sink =

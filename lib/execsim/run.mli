@@ -19,6 +19,16 @@ type measurement = {
   stats : Cachesim.Stats.t;  (** kernel-phase aggregate (init excluded) *)
 }
 
+val coherence :
+  arch:Archspec.Arch.t ->
+  threads:int ->
+  Minic.Typecheck.checked ->
+  Cachesim.Coherence.t
+(** A MESI model with one core per thread whose address space is the
+    program's simulated memory ({!Interp.memory}), every line untouched.
+    @raise Invalid_argument above {!Cachesim.Coherence.max_cores}
+    threads. *)
+
 val measure :
   ?arch:Archspec.Arch.t ->
   ?interleave_window:int ->

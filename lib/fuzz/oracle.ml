@@ -895,7 +895,7 @@ let check_spec ?mutate ?(brute_budget = 300_000) (spec : Spec.t) =
             | exception _ -> ()
             | p -> (
                 let coherence =
-                  Cachesim.Coherence.create ~cores:threads arch
+                  Execsim.Run.coherence ~arch ~threads checked
                 in
                 let sink =
                   {

@@ -64,6 +64,11 @@ let scenarios =
     (With_stderr, "advise fixtures/memory_bound.c");
     (With_stderr, "fix fixtures/memory_bound.c");
     (With_stderr, "eliminate fixtures/memory_bound.c");
+    (* the simulated multicore has at most 63 cores (a line's holders
+       are one int): a larger team is a flag error, not a corrupted
+       directory *)
+    (With_stderr, "simulate saxpy -t 64");
+    (With_stderr, "compare saxpy -t 64");
   ]
 
 let () =

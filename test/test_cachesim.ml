@@ -1,6 +1,7 @@
 (* Tests for the cache simulator: LRU stacks (against a reference model),
    set-associative caches, private hierarchies, and the MESI-coherent
-   multicore with true/false-sharing classification. *)
+   multicore with true/false-sharing classification, checked access for
+   access against the hash-indexed model in coherence_ref.ml. *)
 
 open Cachesim
 
@@ -289,8 +290,10 @@ let test_set_assoc () =
   check Alcotest.bool "gone" false (Set_assoc.mem c 0)
 
 (* ------------------------------------------------------------------ *)
-(* Private_cache                                                       *)
+(* Private_cache (the reference model's private hierarchy)             *)
 (* ------------------------------------------------------------------ *)
+
+module Private_cache = Coherence_ref.Private_cache
 
 let tiny_l1 =
   Archspec.Cache_geom.v ~name:"L1" ~size_bytes:(2 * 64) ~line_bytes:64
@@ -344,6 +347,9 @@ let prop_private_inclusion =
 
 let arch = Archspec.Arch.paper_machine
 
+(* an address space larger than any test below touches *)
+let lines = 1024
+
 let test_word_mask () =
   check Alcotest.int "first word" 0b1
     (Coherence.word_mask ~line_bytes:64 ~addr:0 ~size:4);
@@ -353,7 +359,7 @@ let test_word_mask () =
     (Coherence.word_mask ~line_bytes:64 ~addr:60 ~size:4)
 
 let test_coherence_cold_then_hit () =
-  let c = Coherence.create ~cores:2 arch in
+  let c = Coherence.create ~cores:2 ~lines arch in
   let r = Coherence.read c ~core:0 ~addr:0 ~size:8 in
   check Alcotest.bool "cold" true (r.Coherence.miss = Some Coherence.Cold);
   let r2 = Coherence.read c ~core:0 ~addr:8 ~size:8 in
@@ -362,7 +368,7 @@ let test_coherence_cold_then_hit () =
     r2.Coherence.latency
 
 let test_coherence_write_invalidates () =
-  let c = Coherence.create ~cores:2 arch in
+  let c = Coherence.create ~cores:2 ~lines arch in
   ignore (Coherence.read c ~core:0 ~addr:0 ~size:8);
   ignore (Coherence.read c ~core:1 ~addr:0 ~size:8);
   check (Alcotest.list Alcotest.int) "both hold" [ 0; 1 ]
@@ -376,7 +382,7 @@ let test_coherence_write_invalidates () =
   check Alcotest.int "inval received" 1 st1.Stats.invalidations_received
 
 let test_false_vs_true_sharing () =
-  let c = Coherence.create ~cores:2 arch in
+  let c = Coherence.create ~cores:2 ~lines arch in
   (* core1 caches the line, core0 writes word 0, core1 re-reads word 8:
      untouched word => false sharing *)
   ignore (Coherence.read c ~core:1 ~addr:8 ~size:8);
@@ -394,7 +400,7 @@ let test_false_vs_true_sharing () =
   check Alcotest.int "one TS miss" 1 agg.Stats.coherence_true
 
 let test_c2c_transfer () =
-  let c = Coherence.create ~cores:2 arch in
+  let c = Coherence.create ~cores:2 ~lines arch in
   ignore (Coherence.write c ~core:0 ~addr:0 ~size:8);
   let r = Coherence.read c ~core:1 ~addr:0 ~size:8 in
   check Alcotest.bool "c2c source" true (r.Coherence.source = Coherence.C2C);
@@ -405,7 +411,7 @@ let test_c2c_transfer () =
     (Coherence.dirty_owner_of_line c 0)
 
 let test_upgrade_on_shared_write () =
-  let c = Coherence.create ~cores:2 arch in
+  let c = Coherence.create ~cores:2 ~lines arch in
   ignore (Coherence.read c ~core:0 ~addr:0 ~size:8);
   ignore (Coherence.read c ~core:1 ~addr:0 ~size:8);
   ignore (Coherence.write c ~core:0 ~addr:0 ~size:8);
@@ -413,7 +419,7 @@ let test_upgrade_on_shared_write () =
   check Alcotest.int "upgrade counted" 1 st0.Stats.upgrades
 
 let test_silent_e_to_m () =
-  let c = Coherence.create ~cores:2 arch in
+  let c = Coherence.create ~cores:2 ~lines arch in
   ignore (Coherence.read c ~core:0 ~addr:0 ~size:8);
   ignore (Coherence.write c ~core:0 ~addr:0 ~size:8);
   let st0 = Coherence.stats_of_core c 0 in
@@ -421,7 +427,7 @@ let test_silent_e_to_m () =
   check Alcotest.int "no invalidations" 0 st0.Stats.invalidations_sent
 
 let test_line_straddling_access () =
-  let c = Coherence.create ~cores:1 arch in
+  let c = Coherence.create ~cores:1 ~lines arch in
   let r = Coherence.read c ~core:0 ~addr:60 ~size:8 in
   (* touches lines 0 and 1: two cold fetches *)
   check Alcotest.bool "latency of two fetches" true
@@ -430,7 +436,7 @@ let test_line_straddling_access () =
   check Alcotest.int "two cold misses" 2 st.Stats.cold_misses
 
 let test_l3_shared_within_socket () =
-  let c = Coherence.create ~cores:2 arch in
+  let c = Coherence.create ~cores:2 ~lines arch in
   (* core0 loads, evicts nothing; core1's miss on a clean line should hit
      the shared L3 of the socket (cores 0 and 1 share a socket) *)
   ignore (Coherence.read c ~core:0 ~addr:0 ~size:8);
@@ -449,7 +455,9 @@ let prop_single_dirty_owner =
   QCheck2.Test.make ~name:"at most one dirty owner per line" ~count:100
     QCheck2.Gen.(list_size (int_range 1 120) acc_gen)
     (fun ops ->
-      let c = Coherence.create ~cores:3 Archspec.Arch.small_test_machine in
+      let c =
+        Coherence.create ~cores:3 ~lines Archspec.Arch.small_test_machine
+      in
       List.iter
         (fun (core, addr, write) ->
           ignore (Coherence.access c ~core ~addr ~size:4 ~write))
@@ -464,7 +472,7 @@ let prop_single_dirty_owner =
         (List.init 40 (fun l -> l)))
 
 let test_read_hit_keeps_dirty () =
-  let c = Coherence.create ~cores:2 arch in
+  let c = Coherence.create ~cores:2 ~lines arch in
   ignore (Coherence.write c ~core:0 ~addr:0 ~size:8);
   (* the owner's own read hit must not disturb the Modified state *)
   ignore (Coherence.read c ~core:0 ~addr:8 ~size:8);
@@ -473,7 +481,7 @@ let test_read_hit_keeps_dirty () =
 
 let test_writeback_on_eviction () =
   let arch = Archspec.Arch.small_test_machine in
-  let c = Coherence.create ~cores:1 arch in
+  let c = Coherence.create ~cores:1 ~lines arch in
   (* dirty a line, then push enough lines through the tiny private caches
      to evict it *)
   ignore (Coherence.write c ~core:0 ~addr:0 ~size:4);
@@ -493,13 +501,167 @@ let test_writeback_on_eviction () =
     (r.Coherence.miss = Some Coherence.Capacity)
 
 let test_upgrade_latency_charged () =
-  let c = Coherence.create ~cores:2 arch in
+  let c = Coherence.create ~cores:2 ~lines arch in
   ignore (Coherence.read c ~core:0 ~addr:0 ~size:8);
   ignore (Coherence.read c ~core:1 ~addr:0 ~size:8);
   let hit = Coherence.read c ~core:0 ~addr:0 ~size:8 in
   let upg = Coherence.write c ~core:0 ~addr:0 ~size:8 in
   check Alcotest.bool "upgrade costs more than a plain hit" true
     (upg.Coherence.latency > hit.Coherence.latency)
+
+(* A line's holders are one int: core 62 takes its top bit, and a 64th
+   core would share a lower core's bit, so it is refused. *)
+let test_core_limit () =
+  let c = Coherence.create ~cores:63 ~lines arch in
+  ignore (Coherence.read c ~core:62 ~addr:0 ~size:4);
+  ignore (Coherence.read c ~core:0 ~addr:0 ~size:4);
+  check (Alcotest.list Alcotest.int) "both hold" [ 0; 62 ]
+    (Coherence.holders_of_line c 0);
+  ignore (Coherence.write c ~core:0 ~addr:0 ~size:4);
+  check (Alcotest.list Alcotest.int) "core 62 invalidated" [ 0 ]
+    (Coherence.holders_of_line c 0);
+  check Alcotest.int "inval received" 1
+    (Coherence.stats_of_core c 62).Stats.invalidations_received;
+  match Coherence.create ~cores:64 ~lines arch with
+  | exception Invalid_argument _ -> ()
+  | _ -> fail "64 cores must be refused"
+
+let test_address_bounds () =
+  let c = Coherence.create ~cores:1 ~lines:2 arch in
+  ignore (Coherence.read c ~core:0 ~addr:120 ~size:8);
+  List.iter
+    (fun (addr, size) ->
+      match Coherence.read c ~core:0 ~addr ~size with
+      | exception Invalid_argument _ -> ()
+      | _ -> fail (Printf.sprintf "addr %d size %d is outside" addr size))
+    [ (124, 8); (128, 1); (-4, 4) ]
+
+(* ------------------------------------------------------------------ *)
+(* Coherence against the hash-indexed reference model                  *)
+(* ------------------------------------------------------------------ *)
+
+let string_of_result (r : Coherence.result) =
+  Printf.sprintf "{latency %d; source %s; miss %s}" r.Coherence.latency
+    (match r.Coherence.source with
+    | Coherence.L1 -> "L1"
+    | L2 -> "L2"
+    | L3 -> "L3"
+    | C2C -> "C2C"
+    | Memory -> "Memory")
+    (match r.Coherence.miss with
+    | None -> "-"
+    | Some Coherence.Cold -> "cold"
+    | Some Capacity -> "capacity"
+    | Some Coherence_true -> "true"
+    | Some Coherence_false -> "false")
+
+let stats = Alcotest.testable Stats.pp ( = )
+
+(* every core's counters, and the holders and dirty owner of every line *)
+let agrees_at_end ~cores ~lines model reference =
+  List.for_all
+    (fun core ->
+      Coherence.stats_of_core model core
+      = Coherence_ref.stats_of_core reference core)
+    (List.init cores Fun.id)
+  && List.for_all
+       (fun line ->
+         Coherence.holders_of_line model line
+         = Coherence_ref.holders_of_line reference line
+         && Coherence.dirty_owner_of_line model line
+            = Coherence_ref.dirty_owner_of_line reference line)
+       (List.init lines Fun.id)
+
+(* On small_test_machine (16-line L1, 64-line L2, 256-line L3, four cores
+   a socket): 1-12 cores, so up to three sockets; addresses over 1,024
+   lines, half of them in an 8-line window where cores share lines and
+   half spread so that every level evicts; 1-16-byte reads and writes,
+   some straddling a line. *)
+let prop_matches_reference =
+  let small = Archspec.Arch.small_test_machine in
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 12 >>= fun cores ->
+      let addr =
+        oneof [ int_bound ((8 * 64) - 1); int_bound ((lines * 64) - 17) ]
+      in
+      list_size (int_range 1 1500)
+        (quad (int_bound (cores - 1)) addr (int_range 1 16) bool)
+      >|= fun ops -> (cores, ops))
+  in
+  let print (cores, ops) =
+    Printf.sprintf "%d cores: %s" cores
+      (String.concat "; "
+         (List.map
+            (fun (core, addr, size, write) ->
+              Printf.sprintf "%s c%d @%d+%d"
+                (if write then "W" else "R")
+                core addr size)
+            ops))
+  in
+  QCheck2.Test.make ~name:"matches the hash-indexed model"
+    ~count:150 ~print gen (fun (cores, ops) ->
+      let model = Coherence.create ~cores ~lines small in
+      let reference = Coherence_ref.create ~cores small in
+      List.iteri
+        (fun i (core, addr, size, write) ->
+          let got = Coherence.access model ~core ~addr ~size ~write
+          and want = Coherence_ref.access reference ~core ~addr ~size ~write in
+          if got <> want then
+            QCheck2.Test.fail_reportf "access %d: %s, reference %s" i
+              (string_of_result got) (string_of_result want))
+        ops;
+      agrees_at_end ~cores ~lines model reference)
+
+(* The simulator's own traces on the paper machine at 48 cores (four
+   sockets): every access's latency, then the counters and directory. *)
+let test_paper_traces_match_reference () =
+  let cores = 48 in
+  List.iter
+    (fun (k : Kernels.Kernel.t) ->
+      let checked = Kernels.Kernel.parse k in
+      let model = Execsim.Run.coherence ~arch ~threads:cores checked in
+      let reference = Coherence_ref.create ~cores arch in
+      let n = ref 0 in
+      let sink =
+        {
+          Execsim.Interp.null_sink with
+          mem_access =
+            (fun ~tid ~addr ~size ~write ->
+              let got =
+                Coherence.access_latency model ~core:tid ~addr ~size ~write
+              and want =
+                Coherence_ref.access_latency reference ~core:tid ~addr ~size
+                  ~write
+              in
+              if got <> want then
+                fail
+                  (Printf.sprintf "%s access %d: latency %d, reference %d"
+                     k.Kernels.Kernel.name !n got want);
+              incr n);
+        }
+      in
+      let it =
+        Execsim.Interp.create ~threads:cores ~chunk_override:1 ~sink checked
+      in
+      Option.iter
+        (fun func -> Execsim.Interp.exec it ~func)
+        k.Kernels.Kernel.init_func;
+      Execsim.Interp.exec it ~func:k.Kernels.Kernel.func;
+      check stats (k.Kernels.Kernel.name ^ " stats")
+        (Coherence_ref.aggregate_stats reference)
+        (Coherence.aggregate_stats model);
+      let lines =
+        (Loopir.Layout.total_bytes (Execsim.Interp.layout it) + 63) / 64
+      in
+      check Alcotest.bool
+        (k.Kernels.Kernel.name ^ " directory")
+        true
+        (agrees_at_end ~cores ~lines model reference))
+    [
+      Kernels.Heat.kernel ~rows:10 ~cols:1922 ();
+      Kernels.Dft.kernel ~freqs:8 ~samples:1920 ();
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Int_table vs Hashtbl                                                *)
@@ -608,7 +770,7 @@ let test_steady_state_no_alloc () =
       done);
   (* two cores sharing and evicting lines through the tiny hierarchy:
      hits, upgrades, invalidations, write-backs and refetches *)
-  let m = Coherence.create ~cores:2 Archspec.Arch.small_test_machine in
+  let m = Coherence.create ~cores:2 ~lines Archspec.Arch.small_test_machine in
   check_no_alloc "Coherence.access_latency" (fun () ->
       for i = 0 to (rounds * 50) - 1 do
         sink :=
@@ -616,6 +778,26 @@ let test_steady_state_no_alloc () =
           + Coherence.access_latency m ~core:(i land 1)
               ~addr:(i * 52 mod 4096) ~size:8 ~write:(i mod 3 = 0)
       done);
+  (* first touches on the paper machine at 48 cores: the measured loop
+     only touches lines the warm-up never did.  The warm-up grows every
+     recency list past the measured loop's needs (300 then 320 lines a
+     core, 3,600 then 3,840 a socket: inside 512 and 4,096 slots). *)
+  let cores = 48 in
+  let fresh = Coherence.create ~cores ~lines:(cores * 320) arch in
+  let touch lo hi =
+    for line = lo to hi - 1 do
+      sink :=
+        !sink
+        + Coherence.access_latency fresh ~core:(line mod cores)
+            ~addr:(line * 64) ~size:8 ~write:(line land 1 = 0)
+    done
+  in
+  touch 0 (cores * 300);
+  let before = Gc.minor_words () in
+  touch (cores * 300) (cores * 320);
+  check (Alcotest.float 0.)
+    "Coherence.access_latency on first touches allocates nothing" 0.
+    (Gc.minor_words () -. before);
   let c = Fsmodel.Fs_counter.create ~threads:4 ~capacity:32 in
   check_no_alloc "Fs_counter.process" (fun () ->
       for i = 0 to (rounds * 50) - 1 do
@@ -745,8 +927,16 @@ let () =
             test_read_hit_keeps_dirty;
           Alcotest.test_case "writeback on eviction" `Quick
             test_writeback_on_eviction;
+          Alcotest.test_case "core limit" `Quick test_core_limit;
+          Alcotest.test_case "address bounds" `Quick test_address_bounds;
           Alcotest.test_case "upgrade latency" `Quick
             test_upgrade_latency_charged;
+        ] );
+      ( "coherence_ref",
+        [
+          QCheck_alcotest.to_alcotest prop_matches_reference;
+          Alcotest.test_case "paper traces at 48 cores" `Quick
+            test_paper_traces_match_reference;
         ] );
       ( "int_table",
         [
