@@ -22,6 +22,8 @@ verify:
 # certified races gate the exit code, and even under --exact on no
 # analysis/unknown or analysis/exact-budget finding may remain.  Then
 # the version stamp and the analytic cost model's lint and JSON output.
+# Last, every fixture must lint without -p bindings, apart from the
+# bad_* inputs that must be rejected (test/cli_runner.ml pins those).
 lint-check: build
 	./_build/default/bin/fsdetect.exe lint --no-fixits -k saxpy > /dev/null
 	./_build/default/bin/fsdetect.exe lint --no-fixits -k linear_regression > /dev/null
@@ -36,6 +38,10 @@ lint-check: build
 	./_build/default/bin/fsdetect.exe --version | grep -q '+arch\.'
 	./_build/default/bin/fsdetect.exe lint --fail-on never --cost-model analytic -k heat | grep -q 'cost: Total_c'
 	./_build/default/bin/fsdetect.exe analyze --cost-model analytic --format json -k heat | grep -q '"costModel": "analytic"'
+	for f in test/fixtures/*.c; do \
+	  case "$$f" in */bad_*) continue ;; esac; \
+	  ./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never "$$f" > /dev/null || exit 1; \
+	done
 
 # End-to-end smoke of the analysis service: one `fsdetect serve`
 # process gets the same mixed batch (lint + explain over every registry

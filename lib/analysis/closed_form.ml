@@ -76,6 +76,9 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
     (match Loop_nest.schedule_kind nest with
     | `Static -> ()
     | `Dynamic | `Guided -> bail "only schedule(static) is round-robin");
+    (match cfg.Fsmodel.Model.sched with
+    | None -> ()
+    | Some _ -> bail "a replayed dispatch plan is not the static round-robin deal");
     if cfg.Fsmodel.Model.invalidate_on_write then
       bail "the invalidate-on-write ablation is not modeled in closed form";
     let threads = cfg.Fsmodel.Model.threads in

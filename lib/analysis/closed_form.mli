@@ -25,7 +25,9 @@
       count full writer sets.
 
     Irregular nests — non-affine or inner-variable-dependent writes,
-    non-constant strides, dynamic schedules — are [Inapplicable]. *)
+    non-constant strides, dynamic schedules — are [Inapplicable], and so
+    is every configuration that replays a dispatch plan
+    ([Fsmodel.Model.config.sched]), whatever its pragma says. *)
 
 type info = {
   fs_cases : int;  (** provably equal to [Model.run]'s [fs_cases] *)

@@ -1,8 +1,10 @@
 (* The verification half of the fix loop: materialize Transform's plan,
-   then re-run both engines, the dependence analysis and the analytic
-   cost model on the transformed program and compare against the
-   original.  A fix is verified only when the transformed source
-   round-trips through the printer, both engines agree, the attributed
+   then re-count FS twice, re-run the dependence analysis and the
+   analytic cost model on the transformed program and compare against
+   the original.  The two counts are the Fast engine and an independent
+   exact count: the certified closed form where it applies, else the
+   Reference engine.  A fix is verified only when the transformed source
+   round-trips through the printer, the two counts agree, the attributed
    FS drops below the removal threshold, no race appears, and the
    analytic Total_c does not regress beyond the slack. *)
 
@@ -37,6 +39,10 @@ let count_races ps =
   List.length
     (List.filter (fun (p : Depend.pair) -> p.Depend.verdict = Depend.Loop_carried) ps)
 
+(* Each nest's independent count is the certified closed form where it
+   applies, else the Reference engine.  The estimate is the one
+   [Reuse.analyze] costs the nest with, so it is made once, and the
+   Reference engine runs only where it declines or raises. *)
 let measure ~arch ?chunk ~threads ~func (checked : Minic.Typecheck.checked) =
   let params = [ ("num_threads", threads) ] in
   let nests = Loopir.Lower.lower_all checked ~func ~params in
@@ -49,8 +55,17 @@ let measure ~arch ?chunk ~threads ~func (checked : Minic.Typecheck.checked) =
   List.fold_left
     (fun (acc, agree) nest ->
       let fast = (Fsmodel.Model.run ~engine:`Fast cfg ~nest ~checked).Fsmodel.Model.fs_cases in
+      let closed =
+        match Closed_form.estimate cfg ~nest ~checked with
+        | r -> Some r
+        | exception _ -> None
+      in
       let refr =
-        (Fsmodel.Model.run ~engine:`Reference cfg ~nest ~checked).Fsmodel.Model.fs_cases
+        match closed with
+        | Some (Closed_form.Exact i) -> i.Closed_form.fs_cases
+        | _ ->
+            (Fsmodel.Model.run ~engine:`Reference cfg ~nest ~checked)
+              .Fsmodel.Model.fs_cases
       in
       let races = count_races (Depend.pairs ~line_bytes ~params nest) in
       let cost =
@@ -58,7 +73,9 @@ let measure ~arch ?chunk ~threads ~func (checked : Minic.Typecheck.checked) =
         | None -> None
         | Some c -> (
             try
-              let a = Reuse.analyze ~arch ?chunk ~threads ~params ~checked nest in
+              let a =
+                Reuse.analyze ~arch ?chunk ?closed ~threads ~params ~checked nest
+              in
               Some (c +. a.Reuse.eq1.Costmodel.Total_cost.total)
             with _ -> None)
       in
@@ -94,47 +111,52 @@ let verify ?(arch = Archspec.Arch.paper_machine) ?advice ?chunk ~threads ~func
     if plan.Fsmodel.Transform.rewrites = [] then
       Nothing_to_fix
         (Printf.sprintf "no false sharing attributed in %s; nothing to fix" func)
-    else begin
+    else
       let before, agree_before = measure ~arch ?chunk ~threads ~func checked in
-      let transformed = Fsmodel.Transform.materialize checked plan in
-      let source = Fsmodel.Transform.to_source transformed in
-      let after, agree_after = measure ~arch ?chunk ~threads ~func transformed in
-      let roundtrip_ok = roundtrip_ok transformed source in
-      let removal =
-        if before.fs_ref = 0 then 1.0
-        else 1.0 -. (float_of_int after.fs_ref /. float_of_int before.fs_ref)
-      in
-      let cost_ratio =
-        match (before.cost, after.cost) with
-        | Some b, Some a when b > 0. -> Some (a /. b)
-        | _ -> None
-      in
-      let engines_agree = agree_before && agree_after in
-      let verified =
-        roundtrip_ok && engines_agree
-        && (before.fs_ref = 0 || removal >= min_removal)
-        && after.races <= before.races
-        && (match cost_ratio with
-           | Some r -> r <= 1.0 +. cost_slack
-           | None -> true)
-      in
-      Fix
-        {
-          func;
-          plan;
-          before;
-          after;
-          removal;
-          cost_ratio;
-          min_removal;
-          cost_slack;
-          roundtrip_ok;
-          engines_agree;
-          verified;
-          transformed;
-          source;
-        }
-    end
+      if before.fs_ref = 0 then
+        Nothing_to_fix
+          (Printf.sprintf
+             "no false sharing counted in %s at %d thread(s); nothing to fix"
+             func threads)
+      else begin
+        let transformed = Fsmodel.Transform.materialize checked plan in
+        let source = Fsmodel.Transform.to_source transformed in
+        let after, agree_after = measure ~arch ?chunk ~threads ~func transformed in
+        let roundtrip_ok = roundtrip_ok transformed source in
+        let removal =
+          1.0 -. (float_of_int after.fs_ref /. float_of_int before.fs_ref)
+        in
+        let cost_ratio =
+          match (before.cost, after.cost) with
+          | Some b, Some a when b > 0. -> Some (a /. b)
+          | _ -> None
+        in
+        let engines_agree = agree_before && agree_after in
+        let verified =
+          roundtrip_ok && engines_agree
+          && removal >= min_removal
+          && after.races <= before.races
+          && (match cost_ratio with
+             | Some r -> r <= 1.0 +. cost_slack
+             | None -> true)
+        in
+        Fix
+          {
+            func;
+            plan;
+            before;
+            after;
+            removal;
+            cost_ratio;
+            min_removal;
+            cost_slack;
+            roundtrip_ok;
+            engines_agree;
+            verified;
+            transformed;
+            source;
+          }
+      end
   with
   | outcome -> outcome
   | exception Symbolic_nest ps ->

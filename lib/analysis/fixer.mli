@@ -2,13 +2,17 @@
     program.
 
     [Fsmodel.Transform] materializes the fix; this module re-runs the
-    whole analysis stack on the result — both model engines, the
-    dependence analysis, and the analytic reuse-distance cost model —
-    and compares against the original.  A fix is {e verified} when
+    whole analysis stack on the result — two FS counts, the dependence
+    analysis, and the analytic reuse-distance cost model — and compares
+    against the original.  The two counts are the [`Fast] engine and an
+    independent exact count: the {!Closed_form} estimate where it
+    certifies the nest (the same estimate the cost model uses, so it is
+    made once), else the [`Reference] engine.  A fix is {e verified} when
 
     - the transformed source round-trips (re-parses and re-typechecks to
       the same span-erased AST),
-    - both engines agree on the FS count before and after,
+    - the [`Fast] engine agrees with the independent count on every nest,
+      before and after,
     - the attributed FS removal reaches [min_removal] (90%),
     - no new race appears, and
     - the analytic [Total_c] does not regress beyond [cost_slack]
@@ -20,7 +24,9 @@
 
 type metrics = {
   fs_fast : int;  (** FS cases, [`Fast] engine, summed over all nests *)
-  fs_ref : int;  (** FS cases, [`Reference] engine *)
+  fs_ref : int;
+      (** FS cases, the independent count: certified closed form, else the
+          [`Reference] engine *)
   races : int;  (** loop-carried dependence pairs *)
   cost : float option;
       (** analytic [Total_c] summed over nests; [None] when some nest has
@@ -32,12 +38,14 @@ type verdict = {
   plan : Fsmodel.Transform.plan;
   before : metrics;
   after : metrics;
-  removal : float;  (** fraction of attributed FS removed, 1.0 when none *)
+  removal : float;  (** fraction of the attributed FS removed *)
   cost_ratio : float option;  (** after/before analytic cost *)
   min_removal : float;
   cost_slack : float;
   roundtrip_ok : bool;
   engines_agree : bool;
+      (** the [`Fast] engine equals the independent count on every nest,
+          before and after *)
   verified : bool;
   transformed : Minic.Typecheck.checked;
   source : string;  (** pretty-printed transformed program *)
@@ -45,8 +53,9 @@ type verdict = {
 
 type outcome =
   | Nothing_to_fix of string
-      (** empty plan, parametric nest, or non-lowerable function — the
-          string says which *)
+      (** empty plan, no false sharing counted before the fix (the
+          after-measurement is then skipped), parametric nest, or
+          non-lowerable function — the string says which *)
   | Fix of verdict
 
 val verify :

@@ -709,6 +709,19 @@ let lint_checks ~threads ~chunk ~fixits ~mark ~fail checked =
   | Error m -> fail "lint/json" m);
   report
 
+(* Reference-engine FS count of every nest of [func], under the config
+   [Fixer.verify] measures with. *)
+let reference_fs ~threads ~func checked =
+  let cfg = Fsmodel.Model.default_config ~threads () in
+  List.fold_left
+    (fun acc nest ->
+      acc
+      + (Fsmodel.Model.run ~engine:`Reference cfg ~nest ~checked)
+          .Fsmodel.Model.fs_cases)
+    0
+    (Loopir.Lower.lower_all checked ~func
+       ~params:[ ("num_threads", threads) ])
+
 (* The fix loop's own laws.  [Fixer.verify] is called WITHOUT advice:
    the advisor runs a Par_sweep internally, and nesting domain pools
    inside the fuzzing pool is both slow and unnecessary here — the
@@ -756,26 +769,47 @@ let fix_checks ~mutate ~threads ~func ~mark ~fail ~promote checked =
              again.Analysis.Fixer.before.Analysis.Fixer.fs_ref
              again.Analysis.Fixer.after.Analysis.Fixer.fs_ref
              again.Analysis.Fixer.verified);
-      if not v.Analysis.Fixer.engines_agree then
-        fail "fix/verified"
-          (func ^ ": fast and reference engines disagree across the fix");
-      (* the reported removal must be what the before/after counts say *)
-      (if v.Analysis.Fixer.before.Analysis.Fixer.fs_ref > 0 then
-         let want =
-           1.
-           -. float_of_int v.Analysis.Fixer.after.Analysis.Fixer.fs_ref
-              /. float_of_int v.Analysis.Fixer.before.Analysis.Fixer.fs_ref
+      (* the reported counts are the certified closed form where it
+         applies, so the Reference engine recounts both sides here *)
+      let recount side claimed program =
+        let r = reference_fs ~threads ~func program in
+        if claimed <> r then
+          fail "fix/verified"
+            (Printf.sprintf "%s: N_fs %s the fix is %d, Reference engine %d"
+               func side claimed r)
+      in
+      recount "before" v.Analysis.Fixer.before.Analysis.Fixer.fs_ref checked;
+      recount "after" claimed_after v.Analysis.Fixer.transformed;
+      (if not v.Analysis.Fixer.engines_agree then
+         let disagree side (m : Analysis.Fixer.metrics) =
+           Printf.sprintf
+             "%s: fast engine counts %d %s the fix, the independent count %d"
+             func m.fs_fast side m.fs_ref
          in
-         if Float.abs (want -. v.Analysis.Fixer.removal) > 1e-9 then
-           fail "fix/verified"
-             (Printf.sprintf "%s: removal %.6f inconsistent with N_fs %d->%d"
-                func v.Analysis.Fixer.removal
-                v.Analysis.Fixer.before.Analysis.Fixer.fs_ref
-                v.Analysis.Fixer.after.Analysis.Fixer.fs_ref));
-      if
-        v.Analysis.Fixer.before.Analysis.Fixer.fs_ref > 0
-        && not v.Analysis.Fixer.verified
-      then
+         let open Analysis.Fixer in
+         fail "fix/verified"
+           (if v.before.fs_fast <> v.before.fs_ref then
+              disagree "before" v.before
+            else if v.after.fs_fast <> v.after.fs_ref then
+              disagree "after" v.after
+            else
+              func
+              ^ ": fast engine and independent count disagree on one nest, \
+                 though their sums agree"));
+      (* the reported removal must be what the before/after counts say
+         (a verdict is only made when the before count is positive) *)
+      let want =
+        1.
+        -. float_of_int v.Analysis.Fixer.after.Analysis.Fixer.fs_ref
+           /. float_of_int v.Analysis.Fixer.before.Analysis.Fixer.fs_ref
+      in
+      if Float.abs (want -. v.Analysis.Fixer.removal) > 1e-9 then
+        fail "fix/verified"
+          (Printf.sprintf "%s: removal %.6f inconsistent with N_fs %d->%d"
+             func v.Analysis.Fixer.removal
+             v.Analysis.Fixer.before.Analysis.Fixer.fs_ref
+             v.Analysis.Fixer.after.Analysis.Fixer.fs_ref);
+      if not v.Analysis.Fixer.verified then
         promote
           (Printf.sprintf
              "fix underdelivers in %s: N_fs %d -> %d (%.1f%% removed), cost \

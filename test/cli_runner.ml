@@ -46,12 +46,15 @@ let scenarios =
     (Code_only, "analyze -k heat --fs-chunk 0");
     (Code_only, "analyze -k heat --nfs-chunk 0");
     (Code_only, "analyze -k heat -t 0");
-    (With_stderr, "lint --no-fixits fixtures/zero_chunk.c");
+    (With_stderr, "lint --no-fixits fixtures/bad_zero_chunk.c");
     (* eliminate/fix on a nest with nothing to fix: explicit notice on
        stderr, exit 0 (the bugfix pinned here: an empty plan is not
        silence) *)
     (With_stderr, "eliminate fixtures/padded_struct.c");
     (With_stderr, "fix fixtures/padded_struct.c");
+    (* a plan whose nest counts no false sharing at this team size (one
+       thread) is nothing to fix too, not an unverified fix *)
+    (With_stderr, "fix -k saxpy -t 1");
     (* a verified fix exits 0; an unbound size parameter gets the same
        clean diagnostic (and exit 1) as analyze *)
     (With_stderr, "fix fixtures/struct_adjacent.c");

@@ -4,9 +4,10 @@
    advisor, materialize the fix, and require that
 
    - kernels expected to have attributed FS get a verified fix:
-     >= 90% attributed-FS removal on both engines, no race introduced,
-     round-trip through the printer, and no analytic cost regression
-     (Fixer.verify's verdict);
+     >= 90% attributed-FS removal, with the Fast engine agreeing with
+     the independent count (certified closed form, else the Reference
+     engine), no race introduced, round-trip through the printer, and
+     no analytic cost regression (Fixer.verify's verdict);
    - the execution simulator confirms it: false-sharing invalidation
      misses on the transformed kernel drop by >= 90% (skipped for
      sub-noise baselines);

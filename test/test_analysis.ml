@@ -175,6 +175,44 @@ let test_invalidate_ablation_falls_back () =
   | Analysis.Closed_form.Inapplicable _ -> ()
   | Analysis.Closed_form.Exact _ -> Alcotest.fail "expected fallback"
 
+(* A config that replays a dispatch plan deals iterations the static
+   round-robin way only by accident: the closed form must decline it
+   whatever the pragma says, and keep certifying the static deal. *)
+let test_replayed_schedule_falls_back () =
+  let micro name =
+    match Kernels.Registry.find name with
+    | Some k -> k
+    | None -> Alcotest.failf "%s kernel missing" name
+  in
+  List.iter
+    (fun (what, kernel, kind, seed) ->
+      let checked = Kernels.Kernel.parse kernel in
+      let nest = lower ~threads:8 checked ~func:kernel.Kernels.Kernel.func in
+      let static = Model.default_config ~threads:8 () in
+      assert_exact ~what:(what ^ ", static") static ~nest ~checked;
+      let replayed = { static with Model.sched = Some (kind, seed) } in
+      match Analysis.Closed_form.estimate replayed ~nest ~checked with
+      | Analysis.Closed_form.Inapplicable r ->
+          check Alcotest.string what
+            "a replayed dispatch plan is not the static round-robin deal" r
+      | Analysis.Closed_form.Exact { fs_cases; _ } ->
+          Alcotest.failf "%s: certified %d, the replay counts %d" what fs_cases
+            (Model.run replayed ~nest ~checked).Model.fs_cases)
+    [
+      ( "bytes_adjacent dynamic,1",
+        micro "bytes_adjacent",
+        Ompsched.Dispatch.Dynamic { chunk = 1 },
+        0 );
+      ( "struct_xy dynamic,1",
+        micro "struct_xy",
+        Ompsched.Dispatch.Dynamic { chunk = 1 },
+        0 );
+      ( "saxpy n=3840 ws,2",
+        Kernels.Saxpy.kernel ~n:3840 (),
+        Ompsched.Dispatch.Work_stealing { chunk = 2 },
+        3 );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* random small nests: estimator vs engine                             *)
 (* ------------------------------------------------------------------ *)
@@ -876,6 +914,8 @@ let () =
             test_straddle_falls_back;
           Alcotest.test_case "invalidate ablation falls back" `Quick
             test_invalidate_ablation_falls_back;
+          Alcotest.test_case "replayed schedule falls back" `Quick
+            test_replayed_schedule_falls_back;
           Alcotest.test_case "applicability floor" `Quick
             test_estimator_applicability_floor;
           QCheck_alcotest.to_alcotest prop_estimator_oracle;

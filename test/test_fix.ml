@@ -1,6 +1,8 @@
 (* The fix loop's invariants beyond the golden transcripts: every
    materialized fix round-trips byte-stably through the pretty-printer,
-   verdicts do not depend on the Par_sweep domain count, the
+   its before and after counts equal the Reference engine's, a
+   verification runs the Reference engine only where the closed form
+   declines, verdicts do not depend on the Par_sweep domain count, the
    nothing-to-fix path is an explicit exit-0 notice at the service
    layer, and the cache keys keep fix/eliminate/advise responses
    apart while excluding the jobs knob. *)
@@ -35,7 +37,7 @@ let verdicts =
            (fun func ->
              let advice = Fsmodel.Advisor.advise ~threads ~func checked in
              match Analysis.Fixer.verify ~advice ~threads ~func checked with
-             | Analysis.Fixer.Fix v -> Some (k.Kernels.Kernel.name, v)
+             | Analysis.Fixer.Fix v -> Some (k.Kernels.Kernel.name, checked, v)
              | Analysis.Fixer.Nothing_to_fix _ -> None)
            (parallel_funcs checked))
        (Kernels.Registry.all () @ Kernels.Registry.micros ()))
@@ -51,7 +53,7 @@ let test_roundtrip () =
   let vs = Lazy.force verdicts in
   Alcotest.(check bool) "some fixes materialize" true (vs <> []);
   List.iter
-    (fun (name, v) ->
+    (fun (name, _, v) ->
       Alcotest.(check bool)
         (name ^ ": verdict says it round-trips")
         true v.Analysis.Fixer.roundtrip_ok;
@@ -68,6 +70,74 @@ let test_roundtrip () =
         v.Analysis.Fixer.source
         (Minic.Pretty.program_to_string re.Minic.Typecheck.prog))
     vs
+
+(* The Reference engine stays the oracle of the reported counts: the
+   request takes the certified closed form where it applies, so the
+   Reference recount lives here, over every nest of the original and of
+   the transformed program. *)
+let reference_fs ~func checked =
+  let cfg = Fsmodel.Model.default_config ~threads () in
+  List.fold_left
+    (fun acc nest ->
+      acc
+      + (Fsmodel.Model.run ~engine:`Reference cfg ~nest ~checked)
+          .Fsmodel.Model.fs_cases)
+    0
+    (Loopir.Lower.lower_all checked ~func
+       ~params:[ ("num_threads", threads) ])
+
+let test_counts_are_reference () =
+  List.iter
+    (fun (name, checked, v) ->
+      let open Analysis.Fixer in
+      Alcotest.(check int)
+        (name ^ ": before N_fs = Reference engine")
+        (reference_fs ~func:v.func checked)
+        v.before.fs_ref;
+      Alcotest.(check int)
+        (name ^ ": after N_fs = Reference engine")
+        (reference_fs ~func:v.func v.transformed)
+        v.after.fs_ref)
+    (Lazy.force verdicts)
+
+(* With the advice swept beforehand, a verification runs the Fast engine
+   on each nest before and after the fix, and the Reference engine only
+   where the closed form does not certify: heat's nests certify, neither
+   of transpose's does.  The closed form itself is estimated once per
+   nest: the count and the analytic cost share the estimate. *)
+let test_model_runs () =
+  List.iter
+    (fun (name, want) ->
+      let k =
+        match Kernels.Registry.find name with
+        | Some k -> k
+        | None -> Alcotest.failf "%s kernel missing" name
+      in
+      let checked = Kernels.Kernel.parse k in
+      let func = k.Kernels.Kernel.func in
+      let advice = Fsmodel.Advisor.advise ~threads ~func checked in
+      let runs = Fsmodel.Model.run_count ()
+      and estimates = Analysis.Closed_form.estimate_count () in
+      let nests =
+        match Analysis.Fixer.verify ~advice ~threads ~func checked with
+        | Analysis.Fixer.Fix v ->
+            let count c =
+              List.length
+                (Loopir.Lower.lower_all c ~func
+                   ~params:[ ("num_threads", threads) ])
+            in
+            count checked + count v.Analysis.Fixer.transformed
+        | Analysis.Fixer.Nothing_to_fix r -> Alcotest.failf "%s: %s" name r
+      in
+      Alcotest.(check int)
+        (name ^ ": Model.run calls")
+        want
+        (Fsmodel.Model.run_count () - runs);
+      Alcotest.(check int)
+        (name ^ ": closed-form estimates, one per nest")
+        nests
+        (Analysis.Closed_form.estimate_count () - estimates))
+    [ ("heat", 2); ("transpose", 4) ]
 
 (* Everything a caller can observe from a verdict, minus the AST. *)
 let observables v =
@@ -145,6 +215,9 @@ let () =
       ( "fix",
         [
           Alcotest.test_case "roundtrip" `Slow test_roundtrip;
+          Alcotest.test_case "counts-are-reference" `Slow
+            test_counts_are_reference;
+          Alcotest.test_case "model-runs" `Quick test_model_runs;
           Alcotest.test_case "jobs-determinism" `Quick test_jobs_determinism;
           Alcotest.test_case "nothing-to-fix" `Quick test_nothing_to_fix;
           Alcotest.test_case "cache-keys" `Quick test_cache_keys;
