@@ -20,7 +20,14 @@ let v ?(hit_latency = 1) ~name ~size_bytes ~line_bytes ~associativity () =
 let lines t = t.size_bytes / t.line_bytes
 let sets t = lines t / t.associativity
 let fully_associative t = t.associativity = lines t
-let line_of_addr t addr = addr / t.line_bytes
+
+let line_shift line_bytes =
+  if not (is_pow2 line_bytes) then
+    invalid_arg "Cache_geom.line_shift: line_bytes not a power of two";
+  let rec go s = if 1 lsl s = line_bytes then s else go (s + 1) in
+  go 0
+
+let line_of_addr t addr = addr asr line_shift t.line_bytes
 let set_of_line t line = line mod sets t
 
 let pp ppf t =

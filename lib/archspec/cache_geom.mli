@@ -35,8 +35,17 @@ val sets : t -> int
 
 val fully_associative : t -> bool
 
+val line_shift : int -> int
+(** [line_shift line_bytes] is log2 of a power-of-two line size: byte
+    [addr] lies on line [addr asr line_shift line_bytes], the address
+    divided by the line size rounded toward minus infinity, so an address
+    below zero lands on a line below zero.  Every engine maps addresses
+    to lines this way.
+    @raise Invalid_argument if [line_bytes] is not a power of two. *)
+
 val line_of_addr : t -> int -> int
-(** [line_of_addr t addr] is the line index (address divided by line size). *)
+(** [line_of_addr t addr] is the line holding byte [addr]:
+    [addr asr line_shift t.line_bytes]. *)
 
 val set_of_line : t -> int -> int
 (** [set_of_line t line] is the set a given line index maps to. *)

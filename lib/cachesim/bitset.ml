@@ -1,6 +1,6 @@
-(* 32-bit words: index arithmetic is a shift/mask and each word's popcount
-   fits the classic SWAR reduction without 64-bit constants (OCaml ints are
-   63-bit, so 0x5555555555555555 is not representable). *)
+(* 32-bit halves: each half's popcount fits the classic SWAR reduction
+   without 64-bit constants (OCaml ints are 63-bit, so 0x5555555555555555
+   is not representable). *)
 
 let pop32 x =
   let x = x - ((x lsr 1) land 0x55555555) in
@@ -11,34 +11,3 @@ let pop32 x =
   ((x * 0x01010101) land 0xFFFFFFFF) lsr 24
 
 let popcount x = pop32 (x land 0xFFFFFFFF) + pop32 ((x lsr 32) land 0x7FFFFFFF)
-
-type t = { words : int array; bits : int }
-
-let create ~bits =
-  if bits < 1 then invalid_arg "Bitset.create: bits < 1";
-  { words = Array.make ((bits + 31) lsr 5) 0; bits }
-
-let bits t = t.bits
-
-let set t i = t.words.(i lsr 5) <- t.words.(i lsr 5) lor (1 lsl (i land 31))
-
-let unset t i =
-  t.words.(i lsr 5) <- t.words.(i lsr 5) land lnot (1 lsl (i land 31))
-
-let mem t i = t.words.(i lsr 5) land (1 lsl (i land 31)) <> 0
-
-let is_empty t =
-  let n = Array.length t.words in
-  let rec go i = i >= n || (Array.unsafe_get t.words i = 0 && go (i + 1)) in
-  go 0
-
-let count t =
-  let acc = ref 0 in
-  for i = 0 to Array.length t.words - 1 do
-    acc := !acc + pop32 (Array.unsafe_get t.words i)
-  done;
-  !acc
-
-let count_excluding t i = count t - if mem t i then 1 else 0
-
-let reset t = Array.fill t.words 0 (Array.length t.words) 0

@@ -1,29 +1,7 @@
-(** Flat bit sets and word-level population counts.
-
-    Two things live here: a branch-free SWAR {!popcount} over a single
-    OCaml [int] (used by {!Fs_counter}'s single-word fast path and anything
-    else holding a bitmask in one machine word), and a growable-free
-    fixed-width bit set backed by an [int array] for universes wider than
-    one word (e.g. thread counts above 62). *)
+(** Word-level population counts: a branch-free SWAR {!popcount} over a
+    single OCaml [int], for bit masks held one word at a time
+    ([Fsmodel.Fs_counter]'s writer masks, {!Coherence}'s holder masks). *)
 
 val popcount : int -> int
 (** Number of set bits, constant time (SWAR over two 32-bit halves —
     OCaml's 63-bit [int] cannot hold the usual 64-bit magic constants). *)
-
-type t
-
-val create : bits:int -> t
-(** An empty set over the universe [0 .. bits-1].
-    @raise Invalid_argument when [bits < 1]. *)
-
-val bits : t -> int
-val set : t -> int -> unit
-val unset : t -> int -> unit
-val mem : t -> int -> bool
-val is_empty : t -> bool
-val count : t -> int
-val count_excluding : t -> int -> int
-(** [count_excluding t i] is [count t] minus one when [i] is a member —
-    the 1-to-All comparison without mutating the set. *)
-
-val reset : t -> unit

@@ -85,14 +85,6 @@ let add t key value =
 
 let touch t key = promote t key >= 0
 
-let access_int t key value =
-  let n = promote t key in
-  if n >= 0 then begin
-    set_at t n value;
-    no_key
-  end
-  else add t key value
-
 let access t key value =
   let n = promote t key in
   if n >= 0 then begin

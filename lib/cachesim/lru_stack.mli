@@ -13,8 +13,8 @@
     are reused and a stack at capacity reuses the evicted slot for the
     incoming key.  The arrays grow with the resident set, never past the
     capacity.
-    {!promote}, {!add}, {!touch}, {!access_int}, {!get} and {!remove_key}
-    look the key up once and allocate nothing in steady state.
+    {!promote}, {!add}, {!touch}, {!get} and {!remove_key} look the key
+    up once and allocate nothing in steady state.
 
     A slot (as returned by {!promote} or {!lru_slot}) names one entry for
     as long as that entry is resident. *)
@@ -22,8 +22,8 @@
 type 'a t
 
 val no_key : int
-(** Sentinel ([min_int]) returned by {!access_int} and {!add} when nothing
-    was evicted; never a valid key. *)
+(** Sentinel ([min_int]) returned by {!add} when nothing was evicted;
+    never a valid key. *)
 
 val create : capacity:int -> 'a t
 (** [capacity] is the maximum number of entries; use [max_int] for an
@@ -60,9 +60,6 @@ val access : 'a t -> int -> 'a -> (int * 'a) option
 (** [access t key payload] inserts [key] at the top (or moves it to the top,
     replacing its payload).  Returns the evicted bottom entry if the insert
     overflowed capacity. *)
-
-val access_int : 'a t -> int -> 'a -> int
-(** Allocation-free {!access}: returns the evicted key, or {!no_key}. *)
 
 val touch : 'a t -> int -> bool
 (** [touch t key] moves [key] to the top if present (payload unchanged);

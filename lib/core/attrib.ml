@@ -11,6 +11,7 @@ type t = {
      packed as ((wr * nrefs + vr) * threads + wt) * threads + vt; a
      writer_ref of -1 (unknown) is folded in by biasing refs by one *)
   pairs : int Cachesim.Int_table.t;
+  line_views : bool;  (* whether [lines] and [cells] are kept *)
   lines : int Cachesim.Int_table.t;  (* line -> count *)
   cells : int Cachesim.Int_table.t;  (* line * threads + victim_tid -> count *)
   mutable total : int;
@@ -25,7 +26,7 @@ type t = {
   mutable e_vref : int array;
 }
 
-let create ?(trace_cap = 65536) ~threads ~nrefs () =
+let create ?(trace_cap = 65536) ?(line_views = false) ~threads ~nrefs () =
   if threads < 1 then invalid_arg "Attrib.create: threads < 1";
   if nrefs < 0 then invalid_arg "Attrib.create: nrefs < 0";
   if trace_cap < 0 then invalid_arg "Attrib.create: trace_cap < 0";
@@ -34,6 +35,7 @@ let create ?(trace_cap = 65536) ~threads ~nrefs () =
     threads;
     nrefs;
     pairs = Cachesim.Int_table.create ~initial:256 ();
+    line_views;
     lines = Cachesim.Int_table.create ~initial:256 ();
     cells = Cachesim.Int_table.create ~initial:256 ();
     total = 0;
@@ -86,8 +88,10 @@ let grow t =
 
 let record t ~step ~line ~writer_tid ~writer_ref ~victim_tid ~victim_ref =
   bump t.pairs (pack t ~writer_ref ~victim_ref ~writer_tid ~victim_tid);
-  bump t.lines line;
-  bump t.cells ((line * t.threads) + victim_tid);
+  if t.line_views then begin
+    bump t.lines line;
+    bump t.cells ((line * t.threads) + victim_tid)
+  end;
   if t.len < t.cap then begin
     if t.len = Array.length t.e_step then grow t;
     let i = t.len in
@@ -108,14 +112,24 @@ let fold_pairs t ~init ~f =
       f acc ~writer_ref ~victim_ref ~writer_tid ~victim_tid ~count)
     t.pairs init
 
+let need_views t name =
+  if not t.line_views then
+    invalid_arg
+      (Printf.sprintf "Attrib.%s: the recorder keeps no line views" name)
+
 let fold_lines t ~init ~f =
+  need_views t "fold_lines";
   Cachesim.Int_table.fold (fun line count acc -> f acc ~line ~count) t.lines
     init
 
+(* a cell key is [line * threads + tid] with [0 <= tid < threads], so the
+   line is the key divided by floor: lines can be negative *)
 let fold_cells t ~init ~f =
+  need_views t "fold_cells";
   Cachesim.Int_table.fold
     (fun key count acc ->
-      f acc ~line:(key / t.threads) ~tid:(key mod t.threads) ~count)
+      let tid = ((key mod t.threads) + t.threads) mod t.threads in
+      f acc ~line:((key - tid) / t.threads) ~tid ~count)
     t.cells init
 
 type pair_stat = {

@@ -24,17 +24,25 @@
     doubling up to their caps).
 
     {b Conservation invariant}: after a run, {!total} equals the
-    engine's [fs_cases], and each aggregate view ({!fold_pairs},
-    {!fold_lines}, {!fold_cells}) sums back to {!total}.  The test suite
+    engine's [fs_cases], and each aggregate view it keeps ({!fold_pairs},
+    and {!fold_lines} and {!fold_cells} when created with
+    [~line_views:true]) sums back to {!total}.  The test suite
     and the fuzzing oracle matrix enforce this on both engines. *)
 
 type t
 
-val create : ?trace_cap:int -> threads:int -> nrefs:int -> unit -> t
+val create :
+  ?trace_cap:int -> ?line_views:bool -> threads:int -> nrefs:int -> unit -> t
 (** A fresh recorder for a team of [threads] over [nrefs] compiled
     references.  [trace_cap] bounds the per-event ring (default [65536];
     [0] keeps aggregates only).  The first [trace_cap] events are kept
     and later ones only aggregated — {!trace_dropped} reports how many.
+    The (reference, thread) pair histogram and {!total} are always kept;
+    the per-line and (line, thread) histograms only with
+    [line_views] (default [false]), which [fsdetect explain] sets for
+    its source annotation and heatmap.  A recorder that only ranks
+    reference pairs (lint's attribution run, the fuzz oracle) skips two
+    table updates per case.
     @raise Invalid_argument when [threads < 1] or [nrefs < 0]. *)
 
 val record :
@@ -74,12 +82,14 @@ val fold_pairs :
     victim thread) histogram, in unspecified order. *)
 
 val fold_lines : t -> init:'a -> f:('a -> line:int -> count:int -> 'a) -> 'a
-(** Fold over the per-cache-line histogram. *)
+(** Fold over the per-cache-line histogram.
+    @raise Invalid_argument unless created with [~line_views:true]. *)
 
 val fold_cells :
   t -> init:'a -> f:('a -> line:int -> tid:int -> count:int -> 'a) -> 'a
 (** Fold over the (cache line, victim thread) histogram — the heatmap's
-    cells. *)
+    cells.  Lines may be negative (an address below the first global).
+    @raise Invalid_argument unless created with [~line_views:true]. *)
 
 type pair_stat = {
   writer_ref : int;

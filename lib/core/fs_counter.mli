@@ -1,24 +1,53 @@
 (** The model's FS-counting engine: per-thread stack-distance cache states
-    plus an O(1) bitmask index of which threads hold each line in written
-    state.  Semantically identical to folding {!Detect.fs_cases_for_insert}
-    over the states (tests cross-check the two); this version makes the
-    1-to-All comparison a constant-time SWAR popcount.
+    plus a per-line mask of which threads hold the line in written state.
+    Semantically identical to folding {!Detect.fs_cases_for_insert} over
+    the states (tests cross-check the two); this version makes the
+    1-to-All comparison a SWAR popcount and finds a line's state by array
+    index, with no hash probe within 4 GiB of address.
 
-    Up to 62 threads the per-line mask is a single word; wider thread
-    counts transparently switch to a {!Cachesim.Bitset} per line. *)
+    {b Layout.} Each thread keeps a {!Cachesim.Slot_list} recency list
+    keyed by line, of the capacity {!create} is given.  Lines live in
+    pages of 1,024: page number [line asr 10], offset [line land 1023],
+    so negative and far-apart lines work.  A page holds ⌈threads / 62⌉
+    writer-mask words per line and, per (line, thread), that thread's
+    list slot (0 = not held): 2 bytes, or 4 when the capacity exceeds
+    65,535 (fixed in {!create}).  Once {!process_attr} has served a page,
+    the page also holds a 4-byte last writing reference per (line,
+    thread).  A page table indexed by page number covers the touched
+    window of page numbers and grows by doubling, up to 65,536 page
+    numbers (2{^26} lines, 4 GiB of address); a page beyond that window,
+    which only a subscript reaching gigabytes past its array touches, is
+    found through a {!Cachesim.Int_table} instead, so the table stays
+    bounded however far apart the lines are.
+
+    {b Memory.} A page is taken on the first insertion of one of its lines
+    and returns to a per-counter pool when no thread holds any of its
+    lines, so the pages in use are at most the pages holding a resident
+    line: memory follows the resident set ([threads x capacity] lines at
+    most), not the address range.  A page costs 1,024 x (2 x threads, or
+    4 x threads for wide slots, + 8 x ⌈threads / 62⌉) bytes, plus
+    4 x threads x 1,024 in attributed runs: 24 KiB at 8 threads, 104 KiB
+    at 48.  The page table costs one word per page number of its window,
+    512 KiB at most.
+
+    {b Allocation.} {!process} and {!process_attr} allocate only while
+    the recency lists, the page tables and the pool grow; in steady state,
+    page churn included (released pages are reused from the pool), they
+    allocate nothing. *)
 
 type t
 
 val create : threads:int -> capacity:int -> t
-(** @raise Invalid_argument when [threads < 1]. *)
+(** [capacity] lines per thread; [max_int] for an unbounded stack.
+    @raise Invalid_argument when [threads < 1] or [capacity < 1]. *)
 
 val process : t -> me:int -> line:int -> written:bool -> int
 (** Count the FS cases triggered by thread [me] inserting [line] (the φ
-    comparison against all other states), then insert it.  One probe of
-    [me]'s stack yields the evicted line, and one probe of the mask table
-    reads the writers (with [me]'s prior written state) and marks [me].
-    Allocation-free once the tables have grown to the working set (up to
-    62 threads; wider counts allocate one bitset per distinct line). *)
+    comparison against all other states), then insert it.  One load finds
+    [me]'s slot for the line: a hit moves it to the top of [me]'s list, a
+    miss inserts it and clears the evicted line's entry by index.  Then
+    the line's writer mask is counted, excluding [me], and [me] is marked
+    when [written]. *)
 
 val process_attr :
   t ->

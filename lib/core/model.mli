@@ -56,7 +56,12 @@ type engine = [ `Fast | `Reference ]
 (** [`Fast] (the default) is the allocation-free engine: ownership lists
     strength-reduced through an incremental cursor into a reused buffer,
     inner indices advanced by an odometer instead of per-step div/mod,
-    and FS counting through {!Fs_counter}'s bitmask popcount.
+    and FS counting through {!Fs_counter}, which finds each thread's
+    state for a line by array index in paged (line, thread) slots and
+    counts the line's writers by popcount.  Both engines map a byte
+    address to its line by floor division
+    ({!Archspec.Cache_geom.line_shift}), so an address below the first
+    global lands on a negative line, as in the closed form.
     [`Reference] is the direct transcription of the paper's procedure:
     per-step div/mod index decomposition, a freshly built
     {!Ownership.lines} list per iteration, and

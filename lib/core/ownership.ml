@@ -10,7 +10,7 @@ type compiled_ref = {
 
 type t = {
   refs : compiled_ref array;
-  line_bytes : int;
+  line_shift : int;  (* byte [addr] is on line [addr asr line_shift] *)
   nslots : int;
 }
 
@@ -57,7 +57,7 @@ let compile ~layout ~line_bytes ~params ~var_slots (nest : Loopir.Loop_nest.t)
   in
   {
     refs = Array.of_list (List.map compile_ref nest.Loopir.Loop_nest.refs);
-    line_bytes;
+    line_shift = Archspec.Cache_geom.line_shift line_bytes;
     nslots = List.length var_slots;
   }
 
@@ -81,8 +81,8 @@ let lines t idx =
       Array.iter
         (fun (slot, coeff) -> addr := !addr + (coeff * idx.(slot)))
         r.terms;
-      let first = !addr / t.line_bytes in
-      let last = (!addr + r.size - 1) / t.line_bytes in
+      let first = !addr asr t.line_shift in
+      let last = (!addr + r.size - 1) asr t.line_shift in
       for line = first to last do
         merge line r.write !acc
       done)
@@ -114,8 +114,8 @@ let lines_with_refs t idx =
       Array.iter
         (fun (slot, coeff) -> addr := !addr + (coeff * idx.(slot)))
         r.terms;
-      let first = !addr / t.line_bytes in
-      let last = (!addr + r.size - 1) / t.line_bytes in
+      let first = !addr asr t.line_shift in
+      let last = (!addr + r.size - 1) asr t.line_shift in
       for line = first to last do
         merge line r.write rid !acc
       done)
@@ -221,8 +221,8 @@ let fill c b =
   for r = 0 to Array.length t.refs - 1 do
     let cref = Array.unsafe_get t.refs r in
     let addr = Array.unsafe_get c.addr r in
-    let first = addr / t.line_bytes in
-    let last = (addr + cref.size - 1) / t.line_bytes in
+    let first = addr asr t.line_shift in
+    let last = (addr + cref.size - 1) asr t.line_shift in
     for line = first to last do
       push b line cref.write r
     done

@@ -4,8 +4,12 @@
 
     References are compiled once (base addresses resolved through
     {!Loopir.Layout}, parameters folded) so that per-iteration evaluation is
-    a handful of integer multiply-adds.  Lines touched more than once in an
-    iteration are merged, a write dominating reads. *)
+    a handful of integer multiply-adds.  Byte [addr] lies on line
+    [addr asr line_shift line_bytes] ({!Archspec.Cache_geom.line_shift}:
+    floor division, so an address below the first global is on a negative
+    line).
+    Lines touched more than once in an iteration are merged, a write
+    dominating reads. *)
 
 type entry = { line : int; written : bool }
 
@@ -27,7 +31,7 @@ val compile :
 (** [var_slots] fixes the order in which {!lines} expects index values
     (normally the nest's loop variables, outermost first).
     @raise Invalid_argument if a reference uses a variable outside
-    [var_slots] and [params]. *)
+    [var_slots] and [params], or if [line_bytes] is not a power of two. *)
 
 val lines : t -> int array -> entry list
 (** Ownership list for the iteration whose index values are given in

@@ -81,8 +81,8 @@ let analyze ?(engine = (`Fast : Fsmodel.Model.engine)) ?trace_cap ?sched ~uri
     ~func (cfg : Fsmodel.Model.config) ~nest ~checked =
   let refs = Array.of_list (nest : Loopir.Loop_nest.t).Loopir.Loop_nest.refs in
   let recorder =
-    Fsmodel.Attrib.create ?trace_cap ~threads:cfg.Fsmodel.Model.threads
-      ~nrefs:(Array.length refs) ()
+    Fsmodel.Attrib.create ?trace_cap ~line_views:true
+      ~threads:cfg.Fsmodel.Model.threads ~nrefs:(Array.length refs) ()
   in
   (* under a nondeterministic schedule every seed replays into the same
      recorder, so the aggregates are the union over the seed set and

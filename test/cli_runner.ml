@@ -6,9 +6,10 @@
    Stderr is captured only where the text is produced by fsdetect
    itself; cmdliner's own usage errors (exit 124) are recorded as exit
    codes alone so the golden file does not depend on the installed
-   cmdliner version. *)
+   cmdliner version.  A few cases also record stdout, where the answer
+   itself is what the case pins. *)
 
-type capture = Code_only | With_stderr
+type capture = Code_only | With_stderr | With_output
 
 let scenarios =
   [
@@ -72,31 +73,48 @@ let scenarios =
        directory *)
     (With_stderr, "simulate saxpy -t 64");
     (With_stderr, "compare saxpy -t 64");
+    (* a subscript below the first global lands on line -1 in every
+       path: lint's count and its top pairs, both engines, the heatmap
+       and the fix's engine cross-check all read the same cases *)
+    (With_output, "lint -t 4 fixtures/negative_offset.c");
+    (With_output, "explain -t 4 fixtures/negative_offset.c");
+    (With_output, "explain --engine reference -t 4 fixtures/negative_offset.c");
+    (With_output, "explain --format heatmap -t 4 fixtures/negative_offset.c");
+    (With_output, "fix -t 4 fixtures/negative_offset.c");
   ]
 
 let () =
   let exe = Sys.argv.(1) and out = Sys.argv.(2) in
   let buf = Buffer.create 4096 in
+  let read path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
   List.iter
     (fun (cap, args) ->
       let tmp = Filename.temp_file "fsdetect_cli" ".err" in
+      let out = Filename.temp_file "fsdetect_cli" ".out" in
       let code =
         Sys.command
-          (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe) args
-             (Filename.quote tmp))
+          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args
+             (Filename.quote out) (Filename.quote tmp))
       in
       Buffer.add_string buf
         (Printf.sprintf "== fsdetect %s\nexit: %d\n" args code);
       (match cap with
       | Code_only -> ()
-      | With_stderr ->
-          let ic = open_in_bin tmp in
-          let s = really_input_string ic (in_channel_length ic) in
-          close_in ic;
+      | With_stderr | With_output ->
+          let s = read tmp in
           if String.length s > 0 then
             Buffer.add_string buf ("stderr:\n" ^ s));
+      (match cap with
+      | With_output -> Buffer.add_string buf ("stdout:\n" ^ read out)
+      | Code_only | With_stderr -> ());
       Buffer.add_char buf '\n';
-      Sys.remove tmp)
+      Sys.remove tmp;
+      Sys.remove out)
     scenarios;
   let oc = open_out out in
   output_string oc (Buffer.contents buf);

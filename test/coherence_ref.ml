@@ -159,7 +159,7 @@ let handle_eviction t core victim =
       e.dirty_words <- 0;
       t.stats.(core).Stats.writebacks <- t.stats.(core).Stats.writebacks + 1;
       (* the written-back line lands in the evictor's socket L3 *)
-      ignore (Lru_stack.access_int t.l3.(socket_of t core) victim ())
+      ignore (Lru_stack.access t.l3.(socket_of t core) victim ())
     end;
     (* a voluntary eviction means the next miss is a capacity miss, not a
        coherence miss *)
@@ -241,7 +241,7 @@ let refetch t st ~core ~line ~mask e =
       e.dirty <- -1;
       e.dirty_words <- 0;
       t.stats.(o).Stats.writebacks <- t.stats.(o).Stats.writebacks + 1;
-      ignore (Lru_stack.access_int t.l3.(socket_of t o) line ());
+      ignore (Lru_stack.access t.l3.(socket_of t o) line ());
       t.last_source <- C2C;
       t.arch.Archspec.Arch.coherence_latency
     end

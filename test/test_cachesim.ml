@@ -125,7 +125,6 @@ let test_lru_update_remove () =
 
 type op =
   | Access of int * int  (* key, payload *)
-  | Access_int of int * int
   | Touch of int
   | Get of int
   | Remove of int
@@ -138,7 +137,6 @@ let op_gen =
     frequency
       [
         (4, map2 (fun k v -> Access (k, v)) key payload);
-        (4, map2 (fun k v -> Access_int (k, v)) key payload);
         (2, map (fun k -> Touch k) key);
         (2, map (fun k -> Get k) key);
         (1, map (fun k -> Remove k) key);
@@ -158,20 +156,11 @@ let prop_lru_matches_reference =
     (fun (cap, ops) ->
       let s = Lru_stack.create ~capacity:cap in
       let r = Ref_lru.create cap in
-      let no_key = Lru_stack.no_key in
       List.for_all
         (fun op ->
           let same_result, key =
             match op with
             | Access (k, v) -> (Lru_stack.access s k v = Ref_lru.access r k v, k)
-            | Access_int (k, v) ->
-                let e = Lru_stack.access_int s k v in
-                let e' =
-                  match Ref_lru.access r k v with
-                  | Some (k', _) -> k'
-                  | None -> no_key
-                in
-                (e = e', k)
             | Touch k -> (Lru_stack.touch s k = Ref_lru.touch r k, k)
             | Get k ->
                 let expect = Ref_lru.find r k in
@@ -758,12 +747,12 @@ let test_steady_state_no_alloc () =
      that the next insertion reuses *)
   let cap = 64 in
   let s = Lru_stack.create ~capacity:cap in
-  check_no_alloc "Lru_stack.touch/get/access_int/remove_key" (fun () ->
+  check_no_alloc "Lru_stack.touch/get/add/remove_key" (fun () ->
       for r = 1 to rounds do
         for i = 0 to (2 * cap) - 1 do
           let k = Array.unsafe_get keys i in
           if not (Lru_stack.touch s k) then
-            ignore (Lru_stack.access_int s k (r land 3));
+            ignore (Lru_stack.add s k (r land 3));
           sink := !sink + Lru_stack.get s k ~default:0;
           if i land 7 = 0 then ignore (Lru_stack.remove_key s k)
         done
@@ -806,6 +795,20 @@ let test_steady_state_no_alloc () =
           + Fsmodel.Fs_counter.process c ~me:(i land 3) ~line:(i * 37 mod 100)
               ~written:(i mod 3 = 0)
       done);
+  (* streaming: each of 8 threads walks its own 10,000 lines twice, so
+     pages fill, empty and go back to the pool, then come out of it *)
+  let c = Fsmodel.Fs_counter.create ~threads:8 ~capacity:32 in
+  check_no_alloc "Fs_counter.process streaming through pages" (fun () ->
+      for _ = 1 to 2 do
+        for k = 0 to 9_999 do
+          for me = 0 to 7 do
+            sink :=
+              !sink
+              + Fsmodel.Fs_counter.process c ~me ~line:((me * 10_000) + k)
+                  ~written:(k land 1 = 0)
+          done
+        done
+      done);
   ignore (Sys.opaque_identity !sink)
 
 (* ------------------------------------------------------------------ *)
@@ -833,40 +836,6 @@ let test_popcount_edges () =
   check Alcotest.int "max_int" 62 (Bitset.popcount max_int);
   check Alcotest.int "single high bit" 1 (Bitset.popcount (1 lsl 62));
   check Alcotest.int "62-thread mask" 62 (Bitset.popcount ((1 lsl 62) - 1))
-
-let prop_bitset_matches_bool_array =
-  let op_gen =
-    QCheck2.Gen.(
-      oneof
-        [
-          map (fun i -> `Set i) (int_range 0 99);
-          map (fun i -> `Unset i) (int_range 0 99);
-        ])
-  in
-  QCheck2.Test.make ~name:"Bitset matches a bool array" ~count:300
-    QCheck2.Gen.(list_size (int_range 0 80) op_gen)
-    (fun ops ->
-      let b = Bitset.create ~bits:100 in
-      let a = Array.make 100 false in
-      List.iter
-        (function
-          | `Set i ->
-              Bitset.set b i;
-              a.(i) <- true
-          | `Unset i ->
-              Bitset.unset b i;
-              a.(i) <- false)
-        ops;
-      let count = Array.fold_left (fun n x -> if x then n + 1 else n) 0 a in
-      Bitset.count b = count
-      && Bitset.is_empty b = (count = 0)
-      && Array.for_all (fun i -> Bitset.mem b i = a.(i))
-           (Array.init 100 Fun.id)
-      && Array.for_all
-           (fun i ->
-             Bitset.count_excluding b i
-             = count - (if a.(i) then 1 else 0))
-           (Array.init 100 Fun.id))
 
 let test_stats_sum_sub () =
   let a = Stats.create () in
@@ -952,7 +921,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_popcount_matches_naive;
           Alcotest.test_case "popcount edges" `Quick test_popcount_edges;
-          QCheck_alcotest.to_alcotest prop_bitset_matches_bool_array;
         ] );
       ("stats", [ Alcotest.test_case "sum/sub" `Quick test_stats_sum_sub ]);
     ]

@@ -124,6 +124,32 @@ let test_engines_agree () =
   with_kernels agree;
   with_kernels ~kernels:(plan_kernels ()) ~configs:plan_configs agree
 
+(* A recorder made without line views (lint's, the fuzz oracle's) keeps
+   the same pair histogram and total as explain's, and refuses the
+   per-line folds it did not keep. *)
+let test_pairs_only_recorder () =
+  with_kernels (fun ~what ~checked ~nest ~cfg ~uri ~func ->
+      let full = Explain.analyze ~trace_cap:0 ~uri ~func cfg ~nest ~checked in
+      let sink =
+        Fsmodel.Attrib.create ~trace_cap:0 ~threads:cfg.Fsmodel.Model.threads
+          ~nrefs:(List.length nest.Loopir.Loop_nest.refs) ()
+      in
+      ignore (Fsmodel.Model.run ~attrib:sink cfg ~nest ~checked);
+      check Alcotest.int (what ^ ": total")
+        (Fsmodel.Attrib.total full.Explain.recorder)
+        (Fsmodel.Attrib.total sink);
+      check pair_t (what ^ ": pair histogram")
+        (as_pair_t (pairs_list full.Explain.recorder))
+        (as_pair_t (pairs_list sink));
+      match
+        Fsmodel.Attrib.fold_lines sink ~init:() ~f:(fun () ~line:_ ~count:_ ->
+            ())
+      with
+      | exception Invalid_argument _ -> ()
+      | () ->
+          Alcotest.failf "%s: fold_lines on a recorder without line views"
+            what)
+
 (* The ring keeps the first [cap] events and only aggregates the rest;
    capping must not change any aggregate. *)
 let test_ring_bounded () =
@@ -288,6 +314,8 @@ let () =
             test_conservation;
           Alcotest.test_case "fast/reference recorders agree" `Quick
             test_engines_agree;
+          Alcotest.test_case "pairs-only recorder" `Quick
+            test_pairs_only_recorder;
           Alcotest.test_case "trace ring bounded" `Quick test_ring_bounded;
           Alcotest.test_case "trace_event JSON valid" `Quick test_trace_json;
           Alcotest.test_case "renderers total" `Quick test_renderers_total;

@@ -61,6 +61,72 @@ let test_ablation_configs_oracle () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* fixtures                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every concrete nest of every fixture but the bad_* inputs, at 2, 4 and
+   8 threads: the engines agree, and the closed form, wherever it
+   certifies, equals them.  A nest whose bounds do not evaluate (an
+   unbound size parameter, a bound read from memory) has no count to
+   compare. *)
+let test_fixtures_oracle () =
+  let fixtures =
+    Sys.readdir "fixtures" |> Array.to_list
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".c"
+           && not (String.starts_with ~prefix:"bad_" f))
+    |> List.sort compare
+  in
+  let compared = ref 0 and certified = ref 0 in
+  List.iter
+    (fun file ->
+      let checked =
+        In_channel.with_open_bin (Filename.concat "fixtures" file)
+          In_channel.input_all
+        |> Minic.Parser.parse_program |> Minic.Typecheck.check_program
+      in
+      List.iter
+        (fun func ->
+          List.iter
+            (fun threads ->
+              let params = [ ("num_threads", threads) ] in
+              match Loopir.Lower.lower_all checked ~func ~params with
+              | exception Loopir.Lower.Lower_error _ -> ()
+              | nests ->
+                  List.iteri
+                    (fun k nest ->
+                      let cfg = Model.default_config ~threads () in
+                      match Model.run cfg ~nest ~checked with
+                      | exception
+                          ( Loopir.Expr_eval.Unbound _
+                          | Loopir.Expr_eval.Not_integer _ | Division_by_zero )
+                        ->
+                          ()
+                      | fast -> (
+                          let what =
+                            Printf.sprintf "%s %s nest %d t=%d" file func k
+                              threads
+                          in
+                          Engine_oracle.assert_engines_agree ~what cfg ~nest
+                            ~checked;
+                          incr compared;
+                          match
+                            Analysis.Closed_form.estimate cfg ~nest ~checked
+                          with
+                          | Analysis.Closed_form.Exact i ->
+                              incr certified;
+                              check Alcotest.int (what ^ ": closed form")
+                                fast.Model.fs_cases
+                                i.Analysis.Closed_form.fs_cases
+                          | Analysis.Closed_form.Inapplicable _ -> ()))
+                    nests)
+            [ 2; 4; 8 ])
+        (Loopir.Lower.find_parallel_functions checked.Minic.Typecheck.prog))
+    fixtures;
+  check Alcotest.bool "nests compared" true (!compared > 0);
+  check Alcotest.bool "nests certified" true (!certified > 0)
+
+(* ------------------------------------------------------------------ *)
 (* random small nests                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -204,6 +270,8 @@ let () =
           Alcotest.test_case "ablation configs" `Quick
             test_ablation_configs_oracle;
           QCheck_alcotest.to_alcotest prop_random_nests_oracle;
+          Alcotest.test_case "fixtures, engines and closed form" `Quick
+            test_fixtures_oracle;
         ] );
       ( "par_sweep",
         [

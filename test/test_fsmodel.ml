@@ -108,30 +108,87 @@ let test_state_eviction () =
 (* Fs_counter fast path == Detect reference                            *)
 (* ------------------------------------------------------------------ *)
 
-let stream_gen =
+type counter_op = Access of int * int * bool | Invalidate of int * int
+
+(* Teams of 1-70 threads (one and two mask words), capacities 1-16 and
+   two past 16-bit slots, and each case's lines drawn from a small pool
+   spread over several pages around 0, below it, and far away in both
+   directions, so the page window grows both ways, and past its cap, so
+   some pages live outside it *)
+let counter_case_gen =
   QCheck2.Gen.(
-    list_size (int_range 1 200)
-      (map3
-         (fun me line written -> (abs me mod 4, abs line mod 8, written))
-         small_int small_int bool))
+    let* threads = int_range 1 70 in
+    let* capacity =
+      frequency [ (8, int_range 1 16); (1, oneofl [ 65_536; max_int ]) ]
+    in
+    let line =
+      oneof
+        [
+          int_range (-3_000) 3_000;
+          map (fun x -> x + 1_000_000) (int_range 0 2_100);
+          map (fun x -> x - 4_000_000) (int_range 0 2_100);
+          map (fun x -> x + (1 lsl 40)) (int_range 0 2_100);
+          map (fun x -> x - (1 lsl 55)) (int_range 0 2_100);
+        ]
+    in
+    let* pool = map Array.of_list (list_size (int_range 1 12) line) in
+    let op =
+      map3
+        (fun me k r ->
+          if r = 0 then Invalidate (me, pool.(k))
+          else Access (me, pool.(k), r land 1 = 0))
+        (int_bound (threads - 1))
+        (int_bound (Array.length pool - 1))
+        (int_bound 5)
+    in
+    let* ops = list_size (int_range 1 300) op in
+    return (threads, capacity, ops))
+
+let print_counter_case (threads, capacity, ops) =
+  Printf.sprintf "threads %d, capacity %d: %s" threads capacity
+    (String.concat "; "
+       (List.map
+          (function
+            | Access (me, line, w) ->
+                Printf.sprintf "T%d %s %d" me (if w then "w" else "r") line
+            | Invalidate (me, line) -> Printf.sprintf "T%d inv %d" me line)
+          ops))
 
 let prop_counter_matches_detect =
   QCheck2.Test.make
     ~name:"Fs_counter bitmask fast path matches the Detect reference"
-    ~count:300
-    QCheck2.Gen.(pair (int_range 1 6) stream_gen)
-    (fun (cap, ops) ->
-      let fast = Fs_counter.create ~threads:4 ~capacity:cap in
+    ~count:300 ~print:print_counter_case counter_case_gen
+    (fun (threads, capacity, ops) ->
+      let fast = Fs_counter.create ~threads ~capacity in
       let states =
-        Array.init 4 (fun _ -> Thread_cache_state.create ~capacity:cap)
+        Array.init threads (fun _ -> Thread_cache_state.create ~capacity)
       in
       List.for_all
-        (fun (me, line, written) ->
-          let f1 = Fs_counter.process fast ~me ~line ~written in
-          let f2 = Detect.fs_cases_for_insert ~states ~me ~line in
-          ignore (Thread_cache_state.insert states.(me) ~line ~written);
-          f1 = f2)
-        ops)
+        (function
+          | Access (me, line, written) ->
+              let f1 = Fs_counter.process fast ~me ~line ~written in
+              let f2 = Detect.fs_cases_for_insert ~states ~me ~line in
+              ignore (Thread_cache_state.insert states.(me) ~line ~written);
+              f1 = f2
+          | Invalidate (me, line) ->
+              Fs_counter.invalidate_others fast ~me ~line;
+              Array.iteri
+                (fun j s ->
+                  if j <> me then ignore (Thread_cache_state.invalidate s line))
+                states;
+              true)
+        ops
+      && List.for_all
+           (fun op ->
+             let line =
+               match op with Access (_, l, _) | Invalidate (_, l) -> l
+             in
+             List.for_all
+               (fun tid ->
+                 Fs_counter.holds fast ~tid line
+                 = Thread_cache_state.holds states.(tid) line)
+               (List.init threads Fun.id))
+           ops)
 
 let test_detect_counts_only_modified () =
   let states = Array.init 3 (fun _ -> Thread_cache_state.create ~capacity:8) in
@@ -534,12 +591,34 @@ let test_fs_counter_invalidate_others () =
   (* re-insert by thread 0 sees nobody *)
   check Alcotest.int "clean after invalidation" 0
     (Fs_counter.process c ~me:0 ~line:5 ~written:false);
-  (* wide thread counts use the Bitset masks; φ still counts correctly *)
+  (* past 62 threads a line's mask takes a second word; φ still counts
+     correctly *)
   let w = Fs_counter.create ~threads:70 ~capacity:4 in
   ignore (Fs_counter.process w ~me:65 ~line:3 ~written:true);
   ignore (Fs_counter.process w ~me:69 ~line:3 ~written:true);
   check Alcotest.int "wide counter sees both writers" 2
     (Fs_counter.process w ~me:0 ~line:3 ~written:false);
+  (* a capacity past 16 bits takes 4-byte slots: the 65,536th resident
+     line has slot 65,536, which a 2-byte slot would read as absent *)
+  let big = Fs_counter.create ~threads:2 ~capacity:70_000 in
+  for line = 0 to 69_999 do
+    ignore (Fs_counter.process big ~me:0 ~line ~written:true)
+  done;
+  check Alcotest.bool "slot 65,536 held" true
+    (Fs_counter.holds big ~tid:0 65_535);
+  check Alcotest.int "its writer counts" 1
+    (Fs_counter.process big ~me:1 ~line:65_535 ~written:false);
+  (* a page outside the window is released and its block reused for a
+     window page before the far line comes back: the far line must find
+     no state *)
+  let c = Fs_counter.create ~threads:2 ~capacity:1 in
+  let far = (1 lsl 40) + 784 in
+  List.iter
+    (fun (me, line, written) ->
+      ignore (Fs_counter.process c ~me ~line ~written))
+    [ (0, 0, false); (0, far, false); (0, 5_000, false); (1, 10_000, true) ];
+  check Alcotest.int "far line comes back clean" 0
+    (Fs_counter.process c ~me:0 ~line:far ~written:false);
   match Fs_counter.create ~threads:0 ~capacity:4 with
   | exception Invalid_argument _ -> ()
   | _ -> fail "0 threads must be rejected"
