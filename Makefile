@@ -97,18 +97,27 @@ doc:
 	  echo "make doc: odoc not installed, skipping (CI enforces this)"; \
 	fi
 
-# Full reproduction harness (all figures/tables + bechamel micros).
+# Full-size artifact generator: every paper table/figure and extension.
 bench: build
 	./_build/default/bench/main.exe
 
-# Quick smoke of the bench pipelines (small instances, no micros),
-# with a wall-clock line; also leaves BENCH.json behind.
+# Quick artifact run (small instances) at --jobs 1 and again at --jobs 2,
+# with one wall-clock line for both.  Par_sweep keys results by input
+# index, so the two BENCH.json records must agree apart from their
+# wall-clock fields (tools/bench_same.py).  Leaves the --jobs 2 record
+# in BENCH.json.
 bench-smoke: build
 	@start=$$(date +%s.%N); \
-	./_build/default/bench/main.exe --quick --no-micro; \
+	jobs1=$$(mktemp); \
+	./_build/default/bench/main.exe --quick --jobs 1 && \
+	cp BENCH.json "$$jobs1" && \
+	./_build/default/bench/main.exe --quick --jobs 2 > /dev/null && \
+	python3 tools/bench_same.py "$$jobs1" BENCH.json; \
+	status=$$?; rm -f "$$jobs1"; \
 	end=$$(date +%s.%N); \
 	awk -v s="$$start" -v e="$$end" \
-	  'BEGIN { printf "bench-smoke wall-clock: %.2fs\n", e - s }'
+	  'BEGIN { printf "bench-smoke wall-clock: %.2fs\n", e - s }'; \
+	exit $$status
 
 clean:
 	dune clean

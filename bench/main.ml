@@ -1,23 +1,11 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§IV) on the simulated 48-core machine.
+(* Artifact generator: regenerates the tables and figures of the paper's
+   evaluation (§IV) on the simulated 48-core machine, and the extensions
+   EXPERIMENTS.md records (calibration, cache-line size, ablations, the
+   runtime-detector comparison, the exact dependence tier, the analytic
+   cost model, seeded schedules).  [sections] at the end of this file
+   lists them; --help prints the list.
 
-     fig2   execution time vs chunk size (linear regression kernel)
-     tab1   measured vs modeled FS overhead % — heat diffusion
-     tab2   measured vs modeled FS overhead % — DFT
-     tab3   measured vs modeled FS overhead % — linear regression
-     tab4   predicted vs modeled FS cases — heat diffusion
-     tab5   predicted vs modeled FS cases — DFT
-     tab6   predicted vs modeled FS cases — linear regression
-     fig6   FS cases grow linearly with chunk runs
-     fig8   measured/modeled/predicted % vs threads — heat
-     fig9   measured/modeled/predicted % vs threads — DFT
-     calib  the fs_cost_factor calibration fit
-     ablate stack-policy / invalidation / associativity / predictor-depth
-     compare  compile-time model vs runtime trace detector
-     serve  analysis-service cache: cold vs warm latency, batch scaling
-     micro  bechamel micro-benchmarks (one per table/figure pipeline)
-
-   Usage: main.exe [--quick] [--only ID] [--no-micro] [--jobs N]
+   Usage: main.exe [--quick] [--only ID] [--jobs N]
 
    "Measured" columns come from the MESI execution simulator (the repo's
    stand-in for the paper's hardware testbed; see DESIGN.md), so absolute
@@ -28,42 +16,13 @@
    Independent configuration sweeps (per-thread-count studies, chunk
    sweeps) run through Fsmodel.Par_sweep, so they spread over OCaml
    domains when more than one is available; --jobs pins the count
-   (--domains is the older spelling, kept as an alias; results are
-   identical at any value).  Wall-clock per section and the headline FS
-   counts are also written to BENCH.json (schema: DESIGN.md §12). *)
+   (results are identical at any value).  Wall-clock per section and the
+   headline counts are also written to BENCH.json (schema: DESIGN.md
+   §12).  Timing the analysis is perfbench's job: apart from the section
+   wall clock, the only timings here are attrib's on/off A/B. *)
 
 let quick = ref false
-let only : string option ref = ref None
-let micro_enabled = ref true
 let domains = ref (Fsmodel.Par_sweep.recommended_domains ())
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--only" :: id :: rest ->
-        only := Some id;
-        parse rest
-    | "--no-micro" :: rest ->
-        micro_enabled := false;
-        parse rest
-    | (("--jobs" | "-j" | "--domains") as flag) :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some d when d >= 1 -> domains := d
-        | _ ->
-            Printf.eprintf "%s expects a positive integer, got %s\n" flag n;
-            exit 2);
-        parse rest
-    | arg :: _ ->
-        Printf.eprintf
-          "unknown argument %s\n\
-           usage: main.exe [--quick] [--only ID] [--no-micro] [--jobs N]\n"
-          arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
 
 let par_map f xs = Fsmodel.Par_sweep.map ~domains:!domains f xs
 
@@ -82,20 +41,10 @@ let linreg_kernel () =
   if !quick then Kernels.Linreg_kernel.kernel ~nacc:1200 ~m:256 ()
   else Kernels.Linreg_kernel.kernel ()
 
-let section_times : (string * float) list ref = ref []
-
-let section id title f =
-  let run =
-    match !only with None -> true | Some wanted -> wanted = id
-  in
-  if run then begin
-    Printf.printf "\n== %s: %s ==\n\n" id title;
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in
-    section_times := (id, dt) :: !section_times;
-    Printf.printf "\n[%s done in %.1fs]\n" id dt
-  end
+(* BENCH.json blocks of the sections that ran, latest first: a key and
+   one object body per entry *)
+let json_blocks : (string * string list) list ref = ref []
+let record key entries = json_blocks := (key, entries) :: !json_blocks
 
 let pct = Fsmodel.Report.pct
 let kcount = Fsmodel.Report.kcount
@@ -690,8 +639,6 @@ let lines_section () =
    then makes no recorder call), and the recorder's aggregate-only
    overhead is reported for reference.  Timings land in BENCH.json so a
    perf regression is visible in CI. *)
-let attrib_times : (string * int * float * float) list ref = ref []
-
 let attrib_section () =
   let threads = 8 in
   let kernels =
@@ -716,8 +663,8 @@ let attrib_section () =
     in
     List.fold_left min (one ()) [ one (); one () ]
   in
-  let rows =
-    List.map
+  let rows, entries =
+    List.split @@ List.map
       (fun (kernel : Kernels.Kernel.t) ->
         let checked = Kernels.Kernel.parse kernel in
         let nest =
@@ -743,20 +690,23 @@ let attrib_section () =
               in
               Fsmodel.Model.run ~engine:`Fast ~attrib:sink cfg ~nest ~checked)
         in
-        attrib_times :=
-          (kernel.Kernels.Kernel.name, !fs, t_off, t_on) :: !attrib_times;
-        [ kernel.Kernels.Kernel.name;
-          kcount !fs;
-          Printf.sprintf "%.4f" t_off;
-          Printf.sprintf "%.4f" t_on;
-          Printf.sprintf "%.1f%%" (100. *. (t_on -. t_off) /. Float.max 1e-9 t_off) ])
+        ( [ kernel.Kernels.Kernel.name;
+            kcount !fs;
+            Printf.sprintf "%.4f" t_off;
+            Printf.sprintf "%.4f" t_on;
+            Printf.sprintf "%.1f%%" (100. *. (t_on -. t_off) /. Float.max 1e-9 t_off) ],
+          Printf.sprintf
+            "\"kernel\": %S, \"model_fs\": %d, \"seconds_off\": %.4f, \
+             \"seconds_on\": %.4f"
+            kernel.Kernels.Kernel.name !fs t_off t_on ))
       kernels
   in
   print_endline
     (Fsmodel.Report.table
        ~header:
          [ "kernel"; "N_fs"; "attrib off (s)"; "attrib on (s)"; "overhead" ]
-       rows)
+       rows);
+  record "attrib_overhead" entries
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)
@@ -775,153 +725,33 @@ let compare_section () =
       Kernels.Linreg_kernel.kernel ~nacc:480 ~m:128 () ]
 
 (* ------------------------------------------------------------------ *)
-(* serve                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Service-layer throughput: the same requests `fsdetect serve` answers,
-   executed in-process against a Service.Api store so the timings are
-   free of protocol and process noise.  Cold = empty cache, warm = the
-   identical request list again (every response a cache hit); batch =
-   cold request list shared across 1..N domains, fresh store per domain
-   count so every scaling point pays the same work. *)
-let serve_stats :
-    (int * float * float * (int * int * float) list) option ref =
-  ref None
-
-let serve_section () =
-  let names = Kernels.Registry.names () in
-  let lint_req ?(threads = 8) k =
-    Service.Req.v (Service.Req.Kernel k)
-      (Service.Req.Lint
-         {
-           threads;
-           chunk = None;
-           json = false;
-           fixits = true;
-           params = [];
-           fail_on = Service.Req.Race;
-           exact = `Auto;
-           exact_budget = Analysis.Depend.default_exact_budget;
-           cost_model = `Sim;
-           sched = None;
-           seeds = 8;
-         })
-  in
-  let explain_req k =
-    Service.Req.v (Service.Req.Kernel k)
-      (Service.Req.Explain
-         {
-           func = None;
-           threads = 8;
-           chunk = None;
-           params = [];
-           engine = `Fast;
-           format = `Text;
-           top = 3;
-           trace_cap = None;
-           sched = None;
-           seeds = 8;
-         })
-  in
-  let reqs =
-    if !quick then List.map lint_req names
-    else List.concat_map (fun k -> [ lint_req k; explain_req k ]) names
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let store = Service.Api.create_store () in
-  let pass () = List.iter (fun r -> ignore (Service.Api.exec store r)) reqs in
-  let cold = time pass in
-  let warm = time pass in
-  let n = List.length reqs in
-  Printf.printf
-    "Cold vs warm latency over %d requests (lint%s of every bundled\n\
-     kernel) on one shared store:\n\n\
-    \  cold  %.4f s  (%.1f ms/request)\n\
-    \  warm  %.6f s  (%.3f ms/request)\n\
-    \  warm speedup: %.0fx\n" n
-    (if !quick then "" else " + explain")
-    cold
-    (1000. *. cold /. float_of_int n)
-    warm
-    (1000. *. warm /. float_of_int n)
-    (cold /. Float.max 1e-9 warm);
-  (* batch scaling: distinct (kernel, threads) pairs so every request is
-     cold work, sharded over the domain pool like a serve batch *)
-  let threads_list = if !quick then [ 2; 4 ] else [ 2; 4; 8; 16 ] in
-  let batch_reqs =
-    List.concat_map
-      (fun k -> List.map (fun t -> lint_req ~threads:t k) threads_list)
-      names
-  in
-  let bn = List.length batch_reqs in
-  let counts =
-    List.sort_uniq compare
-      (List.filter (fun d -> d <= !domains) [ 1; 2; 4; !domains ])
-  in
-  Printf.printf
-    "\nBatch throughput, %d cold lint requests sharded across domains\n\
-     (fresh store per row):\n\n" bn;
-  let batch =
-    List.map
-      (fun d ->
-        let store = Service.Api.create_store () in
-        let dt =
-          time (fun () ->
-              ignore
-                (Fsmodel.Par_sweep.map ~domains:d (Service.Api.exec store)
-                   batch_reqs))
-        in
-        Printf.printf "  %2d domain%s  %.3f s  (%.1f requests/s)\n" d
-          (if d = 1 then " " else "s")
-          dt
-          (float_of_int bn /. dt);
-        (d, bn, dt))
-      counts
-  in
-  serve_stats := Some (n, cold, warm, batch)
-
-(* ------------------------------------------------------------------ *)
 (* exact                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Decisiveness and cost of the exact dependence tier: every registry
-   kernel's reference pairs classified with the tier off (Banerjee
-   only), then with the default budget.  "upgraded" counts pairs whose
-   Banerjee verdict was Unknown and became definite; "promoted" counts
-   pairs whose may-claim was certified as a must with a witness. *)
-let exact_stats : (string * int * int * int * float * float) list ref = ref []
-
+(* Decisiveness of the exact dependence tier: every registry kernel's
+   reference pairs classified with the tier off (Banerjee only), then
+   with the default budget.  "upgraded" counts pairs whose Banerjee
+   verdict was Unknown and became definite; "promoted" counts pairs
+   whose may-claim was certified as a must with a witness. *)
 let exact_section () =
   let threads = 8 in
   let params = [ ("num_threads", threads) ] in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   Printf.printf
     "Two-tier dependence analysis over every bundled kernel: Banerjee\n\
      only (--exact off) vs the default exact tier.  \"upgraded\" pairs\n\
      went from Unknown to a definite verdict; \"promoted\" pairs had a\n\
      may-claim certified as a must-conflict with a witness.\n\n";
-  let rows =
-    List.map
+  let rows, entries =
+    List.split @@ List.map
       (fun (kernel : Kernels.Kernel.t) ->
         let checked = Kernels.Kernel.parse kernel in
         let nest =
           Loopir.Lower.lower checked ~func:kernel.Kernels.Kernel.func ~params
         in
-        let off, t_off =
-          time (fun () ->
-              Analysis.Depend.pairs ~line_bytes:64 ~params ~exact:`Off nest)
+        let off =
+          Analysis.Depend.pairs ~line_bytes:64 ~params ~exact:`Off nest
         in
-        let on, t_on =
-          time (fun () -> Analysis.Depend.pairs ~line_bytes:64 ~params nest)
-        in
+        let on = Analysis.Depend.pairs ~line_bytes:64 ~params nest in
         let unknown (p : Analysis.Depend.pair) =
           match p.Analysis.Depend.verdict with
           | Analysis.Depend.Unknown _ -> true
@@ -935,58 +765,38 @@ let exact_section () =
               (not po.Analysis.Depend.ev.Analysis.Depend.ev_must)
               && pe.Analysis.Depend.ev.Analysis.Depend.ev_must)
         in
-        exact_stats :=
-          ( kernel.Kernels.Kernel.name,
-            List.length on,
-            upgraded,
-            promoted,
-            t_off,
-            t_on )
-          :: !exact_stats;
-        [
-          kernel.Kernels.Kernel.name;
-          string_of_int (List.length on);
-          string_of_int upgraded;
-          string_of_int promoted;
-          Printf.sprintf "%.4f" t_off;
-          Printf.sprintf "%.4f" t_on;
-        ])
+        ( [
+            kernel.Kernels.Kernel.name;
+            string_of_int (List.length on);
+            string_of_int upgraded;
+            string_of_int promoted;
+          ],
+          Printf.sprintf
+            "\"kernel\": %S, \"pairs\": %d, \"upgraded\": %d, \"promoted\": %d"
+            kernel.Kernels.Kernel.name (List.length on) upgraded promoted ))
       (Kernels.Registry.all ())
   in
   print_endline
     (Fsmodel.Report.table
-       ~header:
-         [ "kernel"; "pairs"; "upgraded"; "promoted"; "banerjee (s)";
-           "exact (s)" ]
-       rows)
+       ~header:[ "kernel"; "pairs"; "upgraded"; "promoted" ]
+       rows);
+  record "exact" entries
 
 (* ------------------------------------------------------------------ *)
 (* cost model: analytic reuse-distance prediction vs the simulator      *)
 (* ------------------------------------------------------------------ *)
 
 (* kernel, threads, predicted/simulated beyond-L1 traffic and DRAM
-   fetches, decision wall time of each path (the analytic one is the
-   whole Reuse.analyze: reuse profile, closed-form FS count, Eq. 1) *)
-let cost_model_stats :
-    (string * int * float * float * float * float * float * float) list ref =
-  ref []
-
+   fetches *)
 let cost_model_section () =
   let arch = Archspec.Arch.small_test_machine in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   Printf.printf
     "Static reuse-distance prediction (Analysis.Reuse, zero simulation)\n\
      vs the execution-driven cache simulator on every bundled kernel at\n\
      the small test machine.  \"beyond-L1\" is the predicted traffic the\n\
-     Eq. 1 cache term prices; the seconds columns compare the cost of\n\
-     reaching a verdict each way (analytic: the full Reuse.analyze, with\n\
-     the closed-form FS count and Eq. 1).\n\n";
-  let rows =
-    List.concat_map
+     Eq. 1 cache term prices.\n\n";
+  let rows, entries =
+    List.split @@ List.concat_map
       (fun (kernel : Kernels.Kernel.t) ->
         let checked = Kernels.Kernel.parse kernel in
         List.map
@@ -996,14 +806,11 @@ let cost_model_section () =
               Loopir.Lower.lower checked ~func:kernel.Kernels.Kernel.func
                 ~params
             in
-            let a, t_an =
-              time (fun () ->
-                  Analysis.Reuse.analyze ~arch ~threads ~params ~checked nest)
+            let a =
+              Analysis.Reuse.analyze ~arch ~threads ~params ~checked nest
             in
             let p = a.Analysis.Reuse.prediction in
-            let m, t_sim =
-              time (fun () -> Execsim.Run.measure ~arch ~threads kernel)
-            in
+            let m = Execsim.Run.measure ~arch ~threads kernel in
             let st = m.Execsim.Run.stats in
             let sim_acc = float_of_int (Cachesim.Stats.accesses st) in
             let sim_beyond =
@@ -1013,31 +820,25 @@ let cost_model_section () =
             let pred_beyond =
               p.Analysis.Reuse.accesses -. p.Analysis.Reuse.l1_hits
             in
-            cost_model_stats :=
-              ( kernel.Kernels.Kernel.name,
-                threads,
-                pred_beyond,
-                sim_beyond,
-                p.Analysis.Reuse.mem_fetches,
-                sim_mem,
-                t_an,
-                t_sim )
-              :: !cost_model_stats;
             let err p s =
               if s <= 0. then "-"
               else Printf.sprintf "%+.1f%%" (100. *. (p -. s) /. s)
             in
-            [
-              kernel.Kernels.Kernel.name;
-              string_of_int threads;
-              Printf.sprintf "%.0f" pred_beyond;
-              Printf.sprintf "%.0f" sim_beyond;
-              err pred_beyond sim_beyond;
-              Printf.sprintf "%.0f" p.Analysis.Reuse.mem_fetches;
-              Printf.sprintf "%.0f" sim_mem;
-              Printf.sprintf "%.4f" t_an;
-              Printf.sprintf "%.4f" t_sim;
-            ])
+            ( [
+                kernel.Kernels.Kernel.name;
+                string_of_int threads;
+                Printf.sprintf "%.0f" pred_beyond;
+                Printf.sprintf "%.0f" sim_beyond;
+                err pred_beyond sim_beyond;
+                Printf.sprintf "%.0f" p.Analysis.Reuse.mem_fetches;
+                Printf.sprintf "%.0f" sim_mem;
+              ],
+              Printf.sprintf
+                "\"kernel\": %S, \"threads\": %d, \"pred_beyond_l1\": %.0f, \
+                 \"sim_beyond_l1\": %.0f, \"pred_mem\": %.0f, \"sim_mem\": \
+                 %.0f"
+                kernel.Kernels.Kernel.name threads pred_beyond sim_beyond
+                p.Analysis.Reuse.mem_fetches sim_mem ))
           [ 2; 4 ])
       (Kernels.Registry.all ())
   in
@@ -1045,92 +846,16 @@ let cost_model_section () =
     (Fsmodel.Report.table
        ~header:
          [ "kernel"; "t"; "pred >L1"; "sim >L1"; "err"; "pred mem";
-           "sim mem"; "analytic (s)"; "sim (s)" ]
-       rows)
-
-(* ------------------------------------------------------------------ *)
-(* fix: materialized fixes re-analyzed — the verified-elimination loop *)
-(* ------------------------------------------------------------------ *)
-
-(* kernel, function, fs before/after (reference engine), removal
-   fraction, analytic cost ratio (None when no certificate), verified *)
-let fix_stats :
-    (string * string * int * int * float * float option * bool) list ref =
-  ref []
-
-let fix_section () =
-  let threads = 8 in
-  Printf.printf
-    "Verified elimination: every registry and micro-pattern kernel's\n\
-     advised plan is materialized as transformed mini-C and the whole\n\
-     analysis stack re-run on the result (%d threads).  The gate in\n\
-     `make fix-verify` requires >= 90%% attributed-FS removal and no\n\
-     analytic cost regression; kernels with no attributed FS report an\n\
-     explicitly empty plan.\n\n"
-    threads;
-  let rows =
-    List.concat_map
-      (fun (kernel : Kernels.Kernel.t) ->
-        let name = kernel.Kernels.Kernel.name in
-        let checked = Kernels.Kernel.parse kernel in
-        List.map
-          (fun func ->
-            let advice =
-              Fsmodel.Advisor.advise ~domains:!domains ~threads ~func checked
-            in
-            match Analysis.Fixer.verify ~advice ~threads ~func checked with
-            | Analysis.Fixer.Nothing_to_fix _ ->
-                [ name; func; "-"; "-"; "-"; "-"; "clean" ]
-            | Analysis.Fixer.Fix v ->
-                fix_stats :=
-                  ( name,
-                    func,
-                    v.Analysis.Fixer.before.Analysis.Fixer.fs_ref,
-                    v.Analysis.Fixer.after.Analysis.Fixer.fs_ref,
-                    v.Analysis.Fixer.removal,
-                    v.Analysis.Fixer.cost_ratio,
-                    v.Analysis.Fixer.verified )
-                  :: !fix_stats;
-                [
-                  name;
-                  func;
-                  string_of_int v.Analysis.Fixer.before.Analysis.Fixer.fs_ref;
-                  string_of_int v.Analysis.Fixer.after.Analysis.Fixer.fs_ref;
-                  Printf.sprintf "%.1f%%" (100. *. v.Analysis.Fixer.removal);
-                  (match v.Analysis.Fixer.cost_ratio with
-                  | Some r -> Printf.sprintf "%.2fx" r
-                  | None -> "-");
-                  (if v.Analysis.Fixer.verified then "VERIFIED"
-                   else "UNVERIFIED");
-                ])
-          (Loopir.Lower.find_parallel_functions checked.Minic.Typecheck.prog))
-      (Kernels.Registry.all () @ Kernels.Registry.micros ())
-  in
-  print_endline
-    (Fsmodel.Report.table
-       ~header:
-         [ "kernel"; "function"; "fs before"; "fs after"; "removed";
-           "cost"; "verdict" ]
+           "sim mem" ]
        rows);
-  let fixed = List.length !fix_stats in
-  let verified =
-    List.length (List.filter (fun (_, _, _, _, _, _, ok) -> ok) !fix_stats)
-  in
-  Printf.printf "\n%d fix(es) materialized, %d verified (%.0f%%)\n" fixed
-    verified
-    (if fixed = 0 then 100. else 100. *. float_of_int verified /. float_of_int fixed)
+  record "cost_model" entries
 
 (* ------------------------------------------------------------------ *)
 (* sched: distributional FS verdicts under seeded schedules            *)
 (* ------------------------------------------------------------------ *)
 
 (* kernel, schedule kind, seed count, mean/stddev/p95/max of the
-   per-seed engine N_fs, mean steals per seed, sweep wall seconds *)
-let sched_stats :
-    (string * string * int * float * float * int * int * float * float)
-    list ref =
-  ref []
-
+   per-seed engine N_fs, mean steals per seed *)
 let sched_section () =
   let threads = 8 in
   let nseeds = if !quick then 8 else 16 in
@@ -1163,8 +888,8 @@ let sched_section () =
      the seeded statistical tier quantifies; steals/seed is nonzero only\n\
      under work stealing.\n\n"
     nseeds threads;
-  let rows =
-    List.concat_map
+  let rows, entries =
+    List.split @@ List.concat_map
       (fun (kernel : Kernels.Kernel.t) ->
         let checked = Kernels.Kernel.parse kernel in
         let nest =
@@ -1174,34 +899,29 @@ let sched_section () =
         let cfg = Fsmodel.Model.default_config ~threads () in
         List.map
           (fun kind ->
-            let t0 = Unix.gettimeofday () in
             let d =
               Analysis.Dist.run ~domains:!domains ~seeds ~kind cfg ~nest
                 ~checked
             in
-            let dt = Unix.gettimeofday () -. t0 in
-            sched_stats :=
-              ( kernel.Kernels.Kernel.name,
-                Ompsched.Dispatch.kind_name kind,
-                nseeds,
-                d.Analysis.Dist.mean,
-                d.Analysis.Dist.stddev,
-                d.Analysis.Dist.p95,
-                d.Analysis.Dist.max_fs,
-                d.Analysis.Dist.mean_steals,
-                dt )
-              :: !sched_stats;
-            [
-              kernel.Kernels.Kernel.name;
-              Ompsched.Dispatch.kind_name kind;
-              Printf.sprintf "%.1f" d.Analysis.Dist.mean;
-              Printf.sprintf "%.1f" d.Analysis.Dist.stddev;
-              string_of_int d.Analysis.Dist.p95;
-              Printf.sprintf "%d..%d" d.Analysis.Dist.min_fs
-                d.Analysis.Dist.max_fs;
-              Printf.sprintf "%.1f" d.Analysis.Dist.mean_steals;
-              Printf.sprintf "%.4f" dt;
-            ])
+            ( [
+                kernel.Kernels.Kernel.name;
+                Ompsched.Dispatch.kind_name kind;
+                Printf.sprintf "%.1f" d.Analysis.Dist.mean;
+                Printf.sprintf "%.1f" d.Analysis.Dist.stddev;
+                string_of_int d.Analysis.Dist.p95;
+                Printf.sprintf "%d..%d" d.Analysis.Dist.min_fs
+                  d.Analysis.Dist.max_fs;
+                Printf.sprintf "%.1f" d.Analysis.Dist.mean_steals;
+              ],
+              Printf.sprintf
+                "\"kernel\": %S, \"schedule\": %S, \"seeds\": %d, \
+                 \"mean_fs\": %.1f, \"stddev_fs\": %.1f, \"p95_fs\": %d, \
+                 \"max_fs\": %d, \"mean_steals\": %.1f"
+                kernel.Kernels.Kernel.name
+                (Ompsched.Dispatch.kind_name kind)
+                nseeds d.Analysis.Dist.mean d.Analysis.Dist.stddev
+                d.Analysis.Dist.p95 d.Analysis.Dist.max_fs
+                d.Analysis.Dist.mean_steals ))
           kinds)
       kernels
   in
@@ -1209,248 +929,42 @@ let sched_section () =
     (Fsmodel.Report.table
        ~header:
          [ "kernel"; "schedule"; "mean fs"; "stddev"; "p95"; "range";
-           "steals/seed"; "sweep (s)" ]
-       rows)
-
-(* ------------------------------------------------------------------ *)
-(* micro (bechamel)                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  if not !micro_enabled then
-    print_endline "micro-benchmarks disabled (--no-micro)"
-  else begin
-    let open Bechamel in
-    let small_heat = Kernels.Heat.kernel ~rows:6 ~cols:258 () in
-    let small_dft = Kernels.Dft.kernel ~freqs:4 ~samples:256 () in
-    let small_linreg = Kernels.Linreg_kernel.kernel ~nacc:64 ~m:64 () in
-    let prep (k : Kernels.Kernel.t) =
-      let checked = Kernels.Kernel.parse k in
-      let nest =
-        Loopir.Lower.lower checked ~func:k.Kernels.Kernel.func
-          ~params:[ ("num_threads", 4) ]
-      in
-      (k, checked, nest)
-    in
-    let heat = prep small_heat in
-    let dft = prep small_dft in
-    let linreg = prep small_linreg in
-    let model (_, checked, nest) () =
-      let cfg = Fsmodel.Model.default_config ~threads:4 () in
-      ignore (Fsmodel.Model.run cfg ~nest ~checked)
-    in
-    let predict (k, checked, nest) () =
-      let cfg = Fsmodel.Model.default_config ~threads:4 () in
-      ignore
-        (Fsmodel.Predict.predict ~runs:k.Kernels.Kernel.pred_runs cfg ~nest
-           ~checked)
-    in
-    let simulate (k, _, _) () =
-      ignore (Execsim.Run.measure ~threads:4 ~chunk:1 k)
-    in
-    let tests =
-      [
-        Test.make ~name:"tab1/heat: full model"
-          (Staged.stage (model heat));
-        Test.make ~name:"tab2/dft: full model" (Staged.stage (model dft));
-        Test.make ~name:"tab3/linreg: full model"
-          (Staged.stage (model linreg));
-        Test.make ~name:"tab4/heat: predictor" (Staged.stage (predict heat));
-        Test.make ~name:"tab5/dft: predictor" (Staged.stage (predict dft));
-        Test.make ~name:"tab6/linreg: predictor"
-          (Staged.stage (predict linreg));
-        Test.make ~name:"fig2/fig8: simulator run"
-          (Staged.stage (simulate heat));
-        Test.make ~name:"fig6: model with samples"
-          (Staged.stage (fun () ->
-               let _, checked, nest = heat in
-               let cfg = Fsmodel.Model.default_config ~threads:4 () in
-               ignore
-                 (Fsmodel.Model.run ~record_samples:true cfg ~nest ~checked)));
-        Test.make ~name:"frontend: parse+check+lower"
-          (Staged.stage (fun () ->
-               let k, _, _ = heat in
-               let checked = Kernels.Kernel.parse k in
-               ignore
-                 (Loopir.Lower.lower checked ~func:k.Kernels.Kernel.func
-                    ~params:[ ("num_threads", 4) ])));
-      ]
-    in
-    let cfg =
-      Benchmark.cfg ~limit:60 ~quota:(Time.second 0.5) ~stabilize:false ()
-    in
-    let raw =
-      Benchmark.all cfg
-        Toolkit.Instance.[ monotonic_clock ]
-        (Test.make_grouped ~name:"paper" tests)
-    in
-    let ols =
-      Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |]
-    in
-    let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-    let rows = ref [] in
-    Hashtbl.iter
-      (fun name ols ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> Printf.sprintf "%.3f ms" (e /. 1e6)
-          | _ -> "-"
-        in
-        let r2 =
-          match Analyze.OLS.r_square ols with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "-"
-        in
-        rows := [ name; est; r2 ] :: !rows)
-      results;
-    print_endline
-      (Fsmodel.Report.table
-         ~header:[ "pipeline (small instance)"; "time/run"; "r²" ]
-         (List.sort compare !rows))
-  end
+           "steals/seed" ]
+       rows);
+  record "sched" entries
 
 (* ------------------------------------------------------------------ *)
 (* BENCH.json                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Machine-readable run record: wall-clock per pipeline section plus the
-   headline FS counts accumulated in [study_cache].  Hand-rolled printer —
-   the numbers are ints/floats and the strings are section ids and kernel
-   names, so no escaping is needed. *)
-let write_bench_json ~total path =
+(* Machine-readable run record: wall-clock per section, the blocks the
+   sections recorded, and the headline FS counts accumulated in
+   [study_cache].  Sections that did not run leave no key at all.
+   Hand-rolled printer — the numbers are ints/floats and the strings are
+   section ids, kernel names and schedule kinds, so no escaping is
+   needed. *)
+let write_bench_json ~total ~times path =
   let buf = Buffer.create 4096 in
   let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let array ?(last = false) key entries =
+    bpf "  %S: [\n" key;
+    List.iteri
+      (fun i e ->
+        bpf "    { %s }%s\n" e
+          (if i = List.length entries - 1 then "" else ","))
+      entries;
+    bpf "  ]%s\n" (if last then "" else ",")
+  in
   bpf "{\n";
   bpf "  \"quick\": %b,\n" !quick;
   bpf "  \"domains\": %d,\n" !domains;
   bpf "  \"total_seconds\": %.3f,\n" total;
-  bpf "  \"sections\": [\n";
-  let sections = List.rev !section_times in
-  List.iteri
-    (fun i (id, dt) ->
-      bpf "    { \"id\": %S, \"seconds\": %.3f }%s\n" id dt
-        (if i = List.length sections - 1 then "" else ","))
-    sections;
-  bpf "  ],\n";
-  (* sections that did not run leave no key at all (an --only run used
-     to emit "attrib_overhead": [], which readers took for a regression
-     to zero coverage) *)
-  let at = List.rev !attrib_times in
-  if at <> [] then begin
-    bpf "  \"attrib_overhead\": [\n";
-    List.iteri
-      (fun i (kernel, fs, t_off, t_on) ->
-        bpf
-          "    { \"kernel\": %S, \"model_fs\": %d, \"seconds_off\": %.4f, \
-           \"seconds_on\": %.4f }%s\n"
-          kernel fs t_off t_on
-          (if i = List.length at - 1 then "" else ","))
-      at;
-    bpf "  ],\n"
-  end;
-  (match !serve_stats with
-  | None -> ()
-  | Some (n, cold, warm, batch) ->
-      bpf "  \"serve\": {\n";
-      bpf "    \"requests\": %d,\n" n;
-      bpf "    \"cold_seconds\": %.4f,\n" cold;
-      bpf "    \"warm_seconds\": %.6f,\n" warm;
-      bpf "    \"warm_speedup\": %.1f,\n" (cold /. Float.max 1e-9 warm);
-      bpf "    \"batch\": [\n";
-      List.iteri
-        (fun i (d, bn, dt) ->
-          bpf
-            "      { \"domains\": %d, \"requests\": %d, \"seconds\": %.4f, \
-             \"rps\": %.1f }%s\n"
-            d bn dt
-            (float_of_int bn /. Float.max 1e-9 dt)
-            (if i = List.length batch - 1 then "" else ","))
-        batch;
-      bpf "    ]\n";
-      bpf "  },\n");
-  (* cost_model: analytic reuse-distance model vs the simulator.  Schema
-     per entry: kernel, threads, pred/sim beyond-L1 accesses, pred/sim
-     DRAM fetches, and the wall seconds each path took to decide (the
-     analytic path is the whole Reuse.analyze). *)
-  let cm = List.rev !cost_model_stats in
-  if cm <> [] then begin
-    bpf "  \"cost_model\": [\n";
-    List.iteri
-      (fun i (kernel, threads, pb, sb, pm, sm, t_an, t_sim) ->
-        bpf
-          "    { \"kernel\": %S, \"threads\": %d, \"pred_beyond_l1\": \
-           %.0f, \"sim_beyond_l1\": %.0f, \"pred_mem\": %.0f, \
-           \"sim_mem\": %.0f, \"seconds_analytic\": %.4f, \
-           \"seconds_sim\": %.4f }%s\n"
-          kernel threads pb sb pm sm t_an t_sim
-          (if i = List.length cm - 1 then "" else ","))
-      cm;
-    bpf "  ],\n"
-  end;
-  let ex = List.rev !exact_stats in
-  if ex <> [] then begin
-    bpf "  \"exact\": [\n";
-    List.iteri
-      (fun i (kernel, pairs, upgraded, promoted, t_off, t_on) ->
-        bpf
-          "    { \"kernel\": %S, \"pairs\": %d, \"upgraded\": %d, \
-           \"promoted\": %d, \"seconds_banerjee\": %.4f, \"seconds_exact\": \
-           %.4f }%s\n"
-          kernel pairs upgraded promoted t_off t_on
-          (if i = List.length ex - 1 then "" else ","))
-      ex;
-    bpf "  ],\n"
-  end;
-  (* fix: the verified-elimination loop.  Schema per entry: kernel,
-     function, reference-engine FS before/after the materialized fix,
-     removal fraction, analytic cost ratio (absent without a
-     certificate), verified flag; plus the aggregate verified share. *)
-  let fx = List.rev !fix_stats in
-  if fx <> [] then begin
-    bpf "  \"fix\": {\n";
-    bpf "    \"kernels\": [\n";
-    List.iteri
-      (fun i (kernel, func, before, after, removal, ratio, ok) ->
-        bpf
-          "      { \"kernel\": %S, \"function\": %S, \"fs_before\": %d, \
-           \"fs_after\": %d, \"removal\": %.4f, %s\"verified\": %b }%s\n"
-          kernel func before after removal
-          (match ratio with
-          | Some r -> Printf.sprintf "\"cost_ratio\": %.4f, " r
-          | None -> "")
-          ok
-          (if i = List.length fx - 1 then "" else ","))
-      fx;
-    bpf "    ],\n";
-    let verified =
-      List.length (List.filter (fun (_, _, _, _, _, _, ok) -> ok) fx)
-    in
-    bpf "    \"materialized\": %d,\n" (List.length fx);
-    bpf "    \"verified\": %d,\n" verified;
-    bpf "    \"verified_percent\": %.1f\n"
-      (100. *. float_of_int verified /. float_of_int (List.length fx));
-    bpf "  },\n"
-  end;
-  (* sched: distributional verdicts under seeded schedules.  Schema per
-     entry: kernel, schedule kind, seed count, mean/stddev/p95/max of
-     the per-seed engine N_fs, mean steals per seed, and the wall
-     seconds the whole seed sweep took. *)
-  let sc = List.rev !sched_stats in
-  if sc <> [] then begin
-    bpf "  \"sched\": [\n";
-    List.iteri
-      (fun i (kernel, kind, nseeds, mean, stddev, p95, mx, msteals, dt) ->
-        bpf
-          "    { \"kernel\": %S, \"schedule\": %S, \"seeds\": %d, \
-           \"mean_fs\": %.1f, \"stddev_fs\": %.1f, \"p95_fs\": %d, \
-           \"max_fs\": %d, \"mean_steals\": %.1f, \"seconds\": %.4f }%s\n"
-          kernel kind nseeds mean stddev p95 mx msteals dt
-          (if i = List.length sc - 1 then "" else ","))
-      sc;
-    bpf "  ],\n"
-  end;
-  bpf "  \"fs_counts\": [\n";
-  let entries =
+  array "sections"
+    (List.map
+       (fun (id, dt) -> Printf.sprintf "\"id\": %S, \"seconds\": %.3f" id dt)
+       times);
+  List.iter (fun (key, entries) -> array key entries) (List.rev !json_blocks);
+  let counts =
     Hashtbl.fold
       (fun kernel rows acc ->
         List.fold_left
@@ -1459,21 +973,20 @@ let write_bench_json ~total path =
       study_cache []
     |> List.sort compare
   in
-  List.iteri
-    (fun i (kernel, (r : row)) ->
-      bpf
-        "    { \"kernel\": %S, \"threads\": %d, \"model_fs\": %d, \
-         \"pred_fs\": %d, \"sim_fs_misses\": %d, \"model_percent\": %.2f, \
-         \"measured_percent\": %.2f }%s\n"
-        kernel r.threads r.full.Fsmodel.Overhead_percent.n_fs
-        r.pred.Fsmodel.Overhead_percent.n_fs
-        r.meas.Execsim.Run.fs.Execsim.Run.stats
-          .Cachesim.Stats.coherence_false
-        r.full.Fsmodel.Overhead_percent.percent
-        r.meas.Execsim.Run.percent
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  bpf "  ]\n";
+  array ~last:true "fs_counts"
+    (List.map
+       (fun (kernel, (r : row)) ->
+         Printf.sprintf
+           "\"kernel\": %S, \"threads\": %d, \"model_fs\": %d, \
+            \"pred_fs\": %d, \"sim_fs_misses\": %d, \"model_percent\": %.2f, \
+            \"measured_percent\": %.2f"
+           kernel r.threads r.full.Fsmodel.Overhead_percent.n_fs
+           r.pred.Fsmodel.Overhead_percent.n_fs
+           r.meas.Execsim.Run.fs.Execsim.Run.stats
+             .Cachesim.Stats.coherence_false
+           r.full.Fsmodel.Overhead_percent.percent
+           r.meas.Execsim.Run.percent)
+       counts);
   bpf "}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
@@ -1483,39 +996,89 @@ let write_bench_json ~total path =
 (* main                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The artifacts, in run order: id (for --only), title, generator *)
+let sections =
+  [
+    ("fig2", "execution time vs chunk size (linear regression)", fig2);
+    ("tab1", "measured vs modeled FS overhead — heat diffusion", tab1);
+    ("tab2", "measured vs modeled FS overhead — DFT", tab2);
+    ("tab3", "measured vs modeled FS overhead — linear regression", tab3);
+    ("tab4", "predicted vs modeled FS cases — heat diffusion", tab4);
+    ("tab5", "predicted vs modeled FS cases — DFT", tab5);
+    ("tab6", "predicted vs modeled FS cases — linear regression", tab6);
+    ("fig6", "FS cases grow linearly with chunk runs", fig6);
+    ("fig8", "measured/modeled/predicted vs threads — heat", fig8);
+    ("fig9", "measured/modeled/predicted vs threads — DFT", fig9);
+    ("calib", "fs_cost_factor calibration", calib);
+    ("lines", "false sharing vs cache-line size", lines_section);
+    ("ablate", "design-choice ablations", ablate);
+    ("attrib", "attribution on/off engine A/B", attrib_section);
+    ("compare", "compile-time model vs runtime detector", compare_section);
+    ("exact", "two-tier dependence: Banerjee vs the exact tier",
+     exact_section);
+    ("costmodel", "analytic reuse-distance model vs the simulator",
+     cost_model_section);
+    ("sched", "distributional FS verdicts under seeded schedules",
+     sched_section);
+  ]
+
+let usage = "usage: main.exe [--quick] [--only ID] [--jobs N]\n"
+let ids = String.concat " " (List.map (fun (id, _, _) -> id) sections)
+
 let () =
+  let only = ref None in
+  let rec parse = function
+    | [] -> ()
+    | "--quick" :: rest ->
+        quick := true;
+        parse rest
+    | "--help" :: _ ->
+        print_string usage;
+        print_endline "sections (--only ID runs one):";
+        List.iter
+          (fun (id, title, _) -> Printf.printf "  %-9s  %s\n" id title)
+          sections;
+        exit 0
+    | "--only" :: id :: rest ->
+        if not (List.exists (fun (s, _, _) -> s = id) sections) then begin
+          Printf.eprintf "unknown section %s; valid IDs: %s\n" id ids;
+          exit 2
+        end;
+        only := Some id;
+        parse rest
+    | (("--jobs" | "-j") as flag) :: n :: rest ->
+        (match int_of_string_opt n with
+        | Some d when d >= 1 -> domains := d
+        | _ ->
+            Printf.eprintf "%s expects a positive integer, got %s\n" flag n;
+            exit 2);
+        parse rest
+    | arg :: _ ->
+        Printf.eprintf "unknown argument %s\n%s" arg usage;
+        exit 2
+  in
+  parse (List.tl (Array.to_list Sys.argv));
   Printf.printf
     "Reproduction harness: Tolubaeva, Yan, Chapman — Compile-Time Detection\n\
      of False Sharing via Loop Cost Modeling (2012)%s\n"
     (if !quick then " [quick mode]" else "");
   let t0 = Unix.gettimeofday () in
-  section "fig2" "execution time vs chunk size (linear regression)" fig2;
-  section "tab1" "measured vs modeled FS overhead — heat diffusion" tab1;
-  section "tab2" "measured vs modeled FS overhead — DFT" tab2;
-  section "tab3" "measured vs modeled FS overhead — linear regression" tab3;
-  section "tab4" "predicted vs modeled FS cases — heat diffusion" tab4;
-  section "tab5" "predicted vs modeled FS cases — DFT" tab5;
-  section "tab6" "predicted vs modeled FS cases — linear regression" tab6;
-  section "fig6" "FS cases grow linearly with chunk runs" fig6;
-  section "fig8" "measured/modeled/predicted vs threads — heat" fig8;
-  section "fig9" "measured/modeled/predicted vs threads — DFT" fig9;
-  section "calib" "fs_cost_factor calibration" calib;
-  section "lines" "false sharing vs cache-line size" lines_section;
-  section "ablate" "design-choice ablations" ablate;
-  section "attrib" "attribution on/off engine A/B" attrib_section;
-  section "compare" "compile-time model vs runtime detector" compare_section;
-  section "serve" "analysis service: cold vs warm, batch scaling" serve_section;
-  section "exact" "two-tier dependence: Banerjee vs the exact tier"
-    exact_section;
-  section "costmodel" "analytic reuse-distance model vs the simulator"
-    cost_model_section;
-  section "fix" "verified elimination: materialized fixes re-analyzed"
-    fix_section;
-  section "sched" "distributional FS verdicts under seeded schedules"
-    sched_section;
-  section "micro" "bechamel micro-benchmarks" micro;
+  let times =
+    List.filter_map
+      (fun (id, title, run) ->
+        if Option.fold ~none:true ~some:(String.equal id) !only then begin
+          Printf.printf "\n== %s: %s ==\n\n" id title;
+          let t = Unix.gettimeofday () in
+          run ();
+          let dt = Unix.gettimeofday () -. t in
+          Printf.printf "\n[%s done in %.1fs]\n" id dt;
+          Some (id, dt)
+        end
+        else None)
+      sections
+  in
   let total = Unix.gettimeofday () -. t0 in
-  write_bench_json ~total "BENCH.json";
+  write_bench_json ~total ~times "BENCH.json";
   Printf.printf "\n[total %.1fs over %d domain%s — wrote BENCH.json]\n" total
     !domains
     (if !domains = 1 then "" else "s")

@@ -436,8 +436,29 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
           let at round c j =
             emit ((c * chunk) + j) ((round * chunk) + j) (c - (round * threads))
           in
-          for line = fdiv lo lb to fdiv hi lb do
-            let lbyte = line * lb in
+          (* the first line after [line] that some reference touches, past
+             [last] if none: strides are non-negative, so each reference's
+             next touching iteration holds its next line *)
+          let last = fdiv hi lb in
+          let next_line line =
+            let above = (line + 1) * lb in
+            Array.fold_left
+              (fun m (rf : rref) ->
+                let reach = above - rf.addr0 - rf.size + 1 in
+                let q =
+                  if rf.stride > 0 then max 0 (cdiv reach rf.stride)
+                  else if reach <= 0 then 0
+                  else r.rn
+                in
+                if q < r.rn then
+                  min m (max (line + 1) (fdiv (rf.addr0 + (rf.stride * q)) lb))
+                else m)
+              (last + 1) refs
+          in
+          let line = ref (fdiv lo lb) in
+          while !line <= last do
+            let line_now = !line in
+            let lbyte = line_now * lb in
             let q0 = ref max_int and q1 = ref min_int in
             for k = 0 to nr - 1 do
               let rf = refs.(k) in
@@ -511,8 +532,10 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
                     if j <= jb then at round cb j
                   done
               done;
-              if ev.n > 0 then f line ev
+              if ev.n > 0 then f line_now ev;
+              line := line_now + 1
             end
+            else line := next_line line_now
           done
         end
       in

@@ -81,6 +81,10 @@ let scenarios =
     (With_output, "explain --engine reference -t 4 fixtures/negative_offset.c");
     (With_output, "explain --format heatmap -t 4 fixtures/negative_offset.c");
     (With_output, "fix -t 4 fixtures/negative_offset.c");
+    (* a stride of 10^11 elements: the analytic paths walk the eight
+       lines touched, not the 5.6 TB between them *)
+    (With_output, "explain -t 4 fixtures/far_stride.c");
+    (With_output, "analyze --cost-model analytic -t 4 fixtures/far_stride.c");
   ]
 
 let () =
