@@ -428,7 +428,7 @@ let simulate_cmd =
          & info [ "chunk"; "c" ] ~docv:"C" ~doc:"Chunk-size override.")
   in
   let window =
-    Arg.(value & opt int 4
+    Arg.(value & opt positive 4
          & info [ "window" ] ~docv:"W" ~doc:"Thread interleave window.")
   in
   let seed =

@@ -73,6 +73,8 @@ let scenarios =
        directory *)
     (With_stderr, "simulate saxpy -t 64");
     (With_stderr, "compare saxpy -t 64");
+    (* an interleave window below 1 is a usage error, like -t 0 *)
+    (With_stderr, "simulate saxpy --window 0");
     (* a subscript below the first global lands on line -1 in every
        path: lint's count and its top pairs, both engines, the heatmap
        and the fix's engine cross-check all read the same cases *)
